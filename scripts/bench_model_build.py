@@ -1,32 +1,28 @@
 #!/usr/bin/env python
 """Benchmark model construction for the greedy cSigma loop.
 
-Runs Algorithm cSigma^G_A on one fixed-seed scenario under three model
-construction strategies and writes a machine-readable summary
-(``BENCH_model.json``):
+Runs Algorithm cSigma^G_A on one fixed-seed scenario under two model
+construction formulations and writes a machine-readable summary
+(``BENCH_model.json``).  Both run on the greedy's one growing
+:class:`~repro.tvnep.incremental.IncrementalCSigmaModel` (each insertion
+appends the new request's embedding block and rebuilds only the temporal
+tail):
 
-* ``legacy_fresh`` — the pre-columnar baseline: ``formulation="legacy"``
-  (per-entry ``LinExpr`` assembly) and a fresh :class:`CSigmaModel` per
-  insertion;
-* ``columnar_fresh`` — batched COO emission via the columnar emitter,
-  still one fresh model per insertion;
-* ``columnar_incremental`` — one growing
-  :class:`~repro.tvnep.incremental.IncrementalCSigmaModel` for the whole
-  run: each insertion appends the new request's embedding block and
-  rebuilds only the temporal tail.
+* ``legacy`` — ``formulation="legacy"``: per-entry ``LinExpr`` assembly;
+* ``columnar`` — batched COO emission via the columnar emitter.
 
-All three strategies compile every per-iteration model to a
-byte-identical standard form, so the *parity gate* requires identical
-accepted sets, rejection sets, objectives, and schedules across the
-strategies — a timing result without that equivalence is meaningless.
-The *determinism gate* repeats the ``columnar_incremental`` run and
-requires an identical deterministic metrics snapshot and outcome.
+Both formulations compile every per-iteration model to a byte-identical
+standard form, so the *parity gate* requires identical accepted sets,
+rejection sets, objectives, and schedules across them — a timing result
+without that equivalence is meaningless.  The *determinism gate* repeats
+the ``columnar`` run and requires an identical deterministic metrics
+snapshot and outcome.
 
 Timing compares the ``model.build_ms`` timer (pure model-construction
-wall time, excluding solving) between strategies.  The exit status is
+wall time, excluding solving) between formulations.  The exit status is
 the smoke check: nonzero on any parity or determinism violation, or
-when the columnar+incremental build speedup over ``legacy_fresh`` falls
-below ``--min-speedup``.
+when the columnar build speedup over ``legacy`` falls below
+``--min-speedup``.
 
 Usage::
 
@@ -46,11 +42,7 @@ from repro.tvnep.base import ModelOptions
 from repro.tvnep.greedy import greedy_csigma
 from repro.workloads import small_scenario
 
-STRATEGIES: dict[str, dict] = {
-    "legacy_fresh": {"formulation": "legacy", "incremental": False},
-    "columnar_fresh": {"formulation": "columnar", "incremental": False},
-    "columnar_incremental": {"formulation": "columnar", "incremental": True},
-}
+STRATEGIES = ("legacy", "columnar")
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -66,11 +58,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--flexibility", type=float, default=1.0)
     parser.add_argument("--backend", type=str, default="highs")
     parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="fail when the columnar_incremental build "
-                             "speedup over legacy_fresh falls below this "
+                        help="fail when the columnar build speedup over "
+                             "legacy falls below this "
                              "(1.0 = parity smoke only)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions per strategy (best is kept)")
+                        help="timed repetitions per formulation (best is kept)")
     parser.add_argument("--output", type=str, default="BENCH_model.json")
     return parser.parse_args(argv)
 
@@ -78,7 +70,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def outcome_fingerprint(result) -> dict:
     """The decision-relevant outcome of a greedy run, JSON-ready.
 
-    Everything here must be bit-equal across strategies: the accepted
+    Everything here must be bit-equal across formulations: the accepted
     order, the rejections, the final objective, and every accepted
     request's schedule window.
     """
@@ -98,8 +90,7 @@ def outcome_fingerprint(result) -> dict:
     }
 
 
-def run_strategy(scenario, backend: str, formulation: str, incremental: bool,
-                 repeats: int) -> dict:
+def run_strategy(scenario, backend: str, formulation: str, repeats: int) -> dict:
     best = None
     for _ in range(repeats):
         registry = MetricsRegistry()
@@ -112,7 +103,6 @@ def run_strategy(scenario, backend: str, formulation: str, incremental: bool,
                 fixed_mappings=scenario.node_mappings,
                 options=options,
                 backend=backend,
-                incremental=incremental,
             )
         elapsed = time.perf_counter() - started
         run = {
@@ -145,23 +135,23 @@ def main(argv: list[str] | None = None) -> int:
           f"backend={args.backend}", flush=True)
 
     runs: dict[str, dict] = {}
-    for name, spec in STRATEGIES.items():
+    for name in STRATEGIES:
         runs[name] = run_strategy(
-            scenario, args.backend, repeats=args.repeats, **spec
+            scenario, args.backend, name, repeats=args.repeats
         )
-        print(f"  {name:21s} build {runs[name]['model_build_ms']:8.1f} ms  "
+        print(f"  {name:9s} build {runs[name]['model_build_ms']:8.1f} ms  "
               f"total {runs[name]['wall_clock_seconds']:.2f}s  "
               f"accepted {len(runs[name]['outcome']['accepted_order'])}",
               flush=True)
 
     # -- parity gate: identical decisions, objectives, and schedules ----
-    reference = runs["legacy_fresh"]["outcome"]
+    reference = runs["legacy"]["outcome"]
     for name, run in runs.items():
         outcome = run["outcome"]
         for key in ("accepted_order", "rejected", "schedules"):
             if outcome[key] != reference[key]:
                 failures.append(
-                    f"{name} {key} diverged from legacy_fresh: "
+                    f"{name} {key} diverged from legacy: "
                     f"{outcome[key]!r} != {reference[key]!r}"
                 )
         ref_obj, obj = reference["objective"], outcome["objective"]
@@ -171,37 +161,29 @@ def main(argv: list[str] | None = None) -> int:
         )
         if not same_objective:
             failures.append(
-                f"{name} objective {obj!r} != legacy_fresh {ref_obj!r}"
+                f"{name} objective {obj!r} != legacy {ref_obj!r}"
             )
     parity = not failures
 
-    # -- determinism gate: repeating the incremental run changes nothing
-    rerun = run_strategy(scenario, args.backend, repeats=1,
-                         **STRATEGIES["columnar_incremental"])
-    incremental = runs["columnar_incremental"]
+    # -- determinism gate: repeating the columnar run changes nothing
+    rerun = run_strategy(scenario, args.backend, "columnar", repeats=1)
+    columnar = runs["columnar"]
     deterministic = (
-        rerun["outcome"] == incremental["outcome"]
-        and rerun["deterministic_metrics"] == incremental["deterministic_metrics"]
+        rerun["outcome"] == columnar["outcome"]
+        and rerun["deterministic_metrics"] == columnar["deterministic_metrics"]
     )
     if not deterministic:
-        failures.append(
-            "repeated columnar_incremental run diverged (nondeterministic)"
-        )
+        failures.append("repeated columnar run diverged (nondeterministic)")
 
     # -- speedup gate ---------------------------------------------------
-    base_ms = runs["legacy_fresh"]["model_build_ms"]
-    inc_ms = incremental["model_build_ms"]
-    speedup = base_ms / inc_ms if inc_ms > 0 else float("inf")
+    base_ms = runs["legacy"]["model_build_ms"]
+    columnar_ms = columnar["model_build_ms"]
+    speedup = base_ms / columnar_ms if columnar_ms > 0 else float("inf")
     if speedup < args.min_speedup:
         failures.append(
-            f"columnar_incremental build speedup {speedup:.2f}x "
+            f"columnar build speedup {speedup:.2f}x "
             f"below floor {args.min_speedup}x"
         )
-    columnar_speedup = (
-        base_ms / runs["columnar_fresh"]["model_build_ms"]
-        if runs["columnar_fresh"]["model_build_ms"] > 0
-        else float("inf")
-    )
 
     stats = {
         "instance": {
@@ -218,8 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                    if k != "deterministic_metrics"}
             for name, run in runs.items()
         },
-        "build_speedup_columnar_fresh_vs_legacy": columnar_speedup,
-        "build_speedup_columnar_incremental_vs_legacy": speedup,
+        "build_speedup_columnar_vs_legacy": speedup,
         "parity": parity,
         "deterministic": deterministic,
     }
@@ -227,10 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(stats, fh, indent=2)
         fh.write("\n")
 
-    print(f"columnar_fresh build speedup vs legacy: {columnar_speedup:.2f}x")
-    print(f"columnar_incremental build speedup vs legacy: {speedup:.2f}x  "
-          f"(reuses {incremental['incremental_reuses']}, "
-          f"lp appends {incremental['lp_appends']})")
+    print(f"columnar build speedup vs legacy: {speedup:.2f}x  "
+          f"(reuses {columnar['incremental_reuses']}, "
+          f"lp appends {columnar['lp_appends']})")
     print(f"parity: {parity}")
     print(f"deterministic: {deterministic}")
     print(f"wrote {args.output}")

@@ -40,7 +40,6 @@ from repro.network.substrate import SubstrateNetwork
 from repro.observability.metrics import get_registry
 from repro.runtime.budget import SolveBudget
 from repro.tvnep.base import ModelOptions
-from repro.tvnep.csigma_model import CSigmaModel
 from repro.tvnep.incremental import IncrementalCSigmaModel
 from repro.tvnep.solution import ScheduledRequest, TemporalSolution
 from repro.tvnep.warmstart import validated_warm_start
@@ -51,8 +50,15 @@ __all__ = ["GreedyResult", "greedy_csigma", "greedy_enumerative"]
 logger = logging.getLogger("repro.runtime")
 
 
+def _earliest_slot(request: Request) -> Request:
+    """A rejected request's pinned copy: times fixed anyway (Definition 2.1)."""
+    return request.with_schedule(
+        request.earliest_start, request.earliest_start + request.duration
+    )
+
+
 def _pinned_schedule(
-    current: Mapping[str, Request],
+    requests: Sequence[Request],
     accepted: Sequence[str],
     candidate: str | None = None,
 ) -> dict[str, tuple[bool, float, float]]:
@@ -64,17 +70,17 @@ def _pinned_schedule(
     """
     accepted_set = set(accepted)
     schedule: dict[str, tuple[bool, float, float]] = {}
-    for name, request in current.items():
-        if name == candidate:
-            schedule[name] = (
+    for request in requests:
+        if request.name == candidate:
+            schedule[request.name] = (
                 False,
                 request.earliest_start,
                 request.earliest_start + request.duration,
             )
         else:
             # pinned copies carry the chosen window as their only window
-            schedule[name] = (
-                name in accepted_set,
+            schedule[request.name] = (
+                request.name in accepted_set,
                 request.earliest_start,
                 request.latest_end,
             )
@@ -88,36 +94,6 @@ def _link_flow_values(raw: Solution) -> dict[str, float]:
         for var, value in raw.values.items()
         if var.name.startswith("xE[")
     }
-
-
-def solve_raw_warm(model, backend, time_limit, warm_start, **extra):
-    """``solve_raw`` passing optional keywords only when the backend takes them.
-
-    ``warm_start`` (and any ``extra`` keyword, e.g. the branch-and-bound
-    ``lp_session`` spec) is an optimization hint, never a hard
-    dependency on a backend's signature: a backend that rejects a
-    keyword with :class:`TypeError` is retried with progressively fewer
-    hints, down to a plain cold solve.
-    """
-    kwargs = dict(extra)
-    if warm_start is not None:
-        kwargs["warm_start"] = warm_start
-    # drop hints one at a time: lp_session first (rarest), then
-    # warm_start, then solve cold
-    for attempt in (dict(kwargs), {"warm_start": warm_start} if warm_start is not None else {}, {}):
-        try:
-            return model.solve_raw(
-                backend=backend, time_limit=time_limit, **attempt
-            )
-        except TypeError:
-            if not attempt:
-                raise
-            logger.debug(
-                "backend %r rejected keywords %s; retrying with fewer hints",
-                backend,
-                sorted(attempt),
-            )
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 @dataclass
@@ -152,10 +128,15 @@ def greedy_csigma(
     time_limit_per_iteration: float | None = None,
     time_limit: float | None = None,
     budget: SolveBudget | None = None,
-    lp_session: str | None = None,
-    incremental: bool = True,
 ) -> GreedyResult:
     """Run Algorithm cSigma^G_A.
+
+    The run keeps **one** growing
+    :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`: each
+    iteration appends the new request's embedding block and rebuilds
+    only the temporal tail, and a decision is a bound update.  The
+    heavy-hitters hybrid runs the same insertion loop from a seeded
+    model (:func:`repro.tvnep.hybrid.hybrid_heavy_hitters`).
 
     Parameters
     ----------
@@ -170,7 +151,8 @@ def greedy_csigma(
         (defaults to all reductions on — essential for speed).
     backend:
         MIP backend for the iterations (a registry name or callable,
-        e.g. a :class:`~repro.runtime.resilient.ResilientBackend`).
+        e.g. a :class:`~repro.runtime.resilient.ResilientBackend`); it
+        receives every iteration's ``warm_start``.
     time_limit_per_iteration:
         Optional safety limit; an iteration that cannot prove
         embeddability in time conservatively rejects the request.
@@ -183,22 +165,15 @@ def greedy_csigma(
         An existing :class:`~repro.runtime.budget.SolveBudget` to
         consume instead of creating one from ``time_limit`` (used when
         the caller threads one global budget through several phases).
-    lp_session:
-        Optional LP-engine spec (see :mod:`repro.mip.lp_engine`)
-        forwarded to branch-and-bound backends.  The insertion loop
-        re-solves near-identical cSigma models, so a persistent HiGHS
-        session with basis hot-starts pays off here; backends without
-        the keyword ignore it.
-    incremental:
-        Keep **one** growing
-        :class:`~repro.tvnep.incremental.IncrementalCSigmaModel` for the
-        whole run (default): each iteration appends the new request's
-        embedding block and rebuilds only the temporal tail, instead of
-        reconstructing every block from scratch.  The per-iteration
-        models compile to byte-identical standard forms either way
-        (``tests/tvnep/test_incremental_model.py``), so decisions and
-        schedules never depend on this switch; ``False`` forces the
-        historical fresh-model-per-iteration loop.
+
+    Raises
+    ------
+    SolverError
+        When a request has no fixed mapping, or the final pinned solve
+        fails.
+    ModelingError
+        When a request's embedding block cannot be built (e.g. a mapping
+        target that is not a substrate node).
     """
     missing = [r.name for r in requests if r.name not in fixed_mappings]
     if missing:
@@ -208,71 +183,83 @@ def greedy_csigma(
     options = options or ModelOptions()
     if budget is None and time_limit is not None:
         budget = SolveBudget(time_limit)
-    solve_hints = {} if lp_session is None else {"lp_session": lp_session}
-
-    # L <- R ordered by earliest possible start (stable for ties)
-    order = sorted(requests, key=lambda r: (r.earliest_start, r.name))
-
     horizon = max(r.latest_end for r in requests)
-    current: dict[str, Request] = {}
+    inc = IncrementalCSigmaModel(
+        substrate, options=_with_horizon(options, horizon), horizon=horizon
+    )
     accepted: list[str] = []
-    rejected: list[str] = []
-    runtimes: list[float] = []
-    # x_E values of the last successful solve, reused to warm-start the
-    # next iteration (flows are time-invariant, so they stay feasible)
-    flow_values: dict[str, float] = {}
-    # one growing model for the whole run: embedding blocks append, the
-    # temporal tail rebuilds per iteration, decisions are bound updates
-    inc = (
-        IncrementalCSigmaModel(
-            substrate, options=_with_horizon(options, horizon), horizon=horizon
-        )
-        if incremental
-        else None
+    # L <- R ordered by earliest possible start (stable for ties)
+    solution, runtimes = _insert_all(
+        inc,
+        sorted(requests, key=lambda r: (r.earliest_start, r.name)),
+        fixed_mappings,
+        accepted,
+        {},
+        backend=backend,
+        time_limit_per_iteration=time_limit_per_iteration,
+        budget=budget,
+        label="greedy",
+        step="iterations",
+    )
+    return GreedyResult(
+        solution=_reconcile(solution, requests, "csigma-greedy", sum(runtimes)),
+        iteration_runtimes=runtimes,
+        accepted_order=accepted,
     )
 
-    def reject(request: Request) -> None:
-        # fix times anyway (Definition 2.1); earliest slot
-        current[request.name] = request.with_schedule(
-            request.earliest_start,
-            request.earliest_start + request.duration,
-        )
-        rejected.append(request.name)
-        get_registry().inc("greedy.rejected")
-        if inc is not None and inc.contains(request.name):
-            inc.decide(request.name, False, current[request.name])
+
+def _insert_all(
+    inc: IncrementalCSigmaModel,
+    order: Sequence[Request],
+    fixed_mappings: Mapping[str, NodeMapping],
+    accepted: list[str],
+    flow_values: dict[str, float],
+    *,
+    backend,
+    time_limit_per_iteration: float | None,
+    budget: SolveBudget | None,
+    label: str,
+    step: str,
+) -> tuple[TemporalSolution, list[float]]:
+    """Insert ``order`` one request at a time, then solve fully pinned.
+
+    ``inc`` may already hold decided requests (the hybrid's
+    heavy-hitters); ``accepted`` names the accepted ones and grows in
+    acceptance order, and ``flow_values`` holds the ``x_E`` values that
+    warm-start the first solve.  Each iteration solves with objective
+    (21) and pins the outcome; a solve that fails rejects the request,
+    while an embedding block that cannot be built raises at once.
+
+    Returns the extraction of the final fully-pinned solve (over the
+    pinned request copies) and the per-iteration runtimes.  Counters are
+    ``<label>.<step>``, ``<label>.accepted`` and ``<label>.rejected``.
+    """
+    registry = get_registry()
+    horizon = inc.T
+    runtimes: list[float] = []
+
+    def decide(pinned: Request, embedded: bool) -> None:
+        if embedded:
+            accepted.append(pinned.name)
+        registry.inc(f"{label}.{'accepted' if embedded else 'rejected'}")
+        inc.decide(pinned.name, embedded, pinned)
 
     for position, request in enumerate(order):
-        current[request.name] = request
-        get_registry().inc("greedy.iterations")
-        if inc is not None:
-            try:
-                inc.insert(request, fixed_mappings[request.name])
-            except (SolverError, ModelingError) as exc:
-                # the embedding block itself cannot be built (e.g. an
-                # invalid mapping target): reject without a model — the
-                # fresh-model path fails the same way on this request
-                logger.warning(
-                    "greedy could not add %s to the incremental model "
-                    "(%s); rejecting",
-                    request.name,
-                    exc,
-                )
-                runtimes.append(0.0)
-                reject(request)
-                continue
+        registry.inc(f"{label}.{step}")
+        inc.insert(request, fixed_mappings[request.name])
         if budget is not None and budget.expired:
             # out of wall-clock: conservatively reject the tail instead
             # of blowing past the deadline
             logger.warning(
-                "greedy budget exhausted after %d/%d iterations; "
-                "rejecting %s without solving",
+                "%s budget exhausted after %d/%d %s; rejecting %s without solving",
+                label,
                 position,
                 len(order),
+                step,
                 request.name,
             )
             runtimes.append(0.0)
-            reject(request)
+            decide(_earliest_slot(request), False)
             continue
         # fair share of the remaining budget for this iteration (the
         # +1 reserves a slot for the final fully-pinned solve)
@@ -284,114 +271,66 @@ def greedy_csigma(
             )
         tick = time.perf_counter()
         try:
-            if inc is not None:
-                inc.rebuild_tail()
-                model = inc
-            else:
-                model = CSigmaModel(
-                    substrate,
-                    list(current.values()),
-                    fixed_mappings={
-                        name: fixed_mappings[name] for name in current
-                    },
-                    force_embedded=accepted,
-                    force_rejected=rejected,
-                    options=_with_horizon(options, horizon),
-                )
+            inc.rebuild_tail()
             # objective (21): embed L[i] if possible, then end it early
-            target = model.embeddings[request.name]
-            model.model.set_objective(
-                target.x_embed * horizon
-                + (horizon - model.t_end[request.name]),
+            target = inc.embeddings[request.name]
+            inc.model.set_objective(
+                target.x_embed * horizon + (horizon - inc.t_end[request.name]),
                 ObjectiveSense.MAXIMIZE,
             )
             # warm-start with the previous accepted state (candidate
             # proposed rejected) — the search then starts with a known
             # incumbent instead of cold
             warm = validated_warm_start(
-                model,
-                _pinned_schedule(current, accepted, candidate=request.name),
+                inc,
+                _pinned_schedule(inc.requests, accepted, candidate=request.name),
                 flow_values,
             )
-            raw = solve_raw_warm(
-                model, backend, iteration_limit, warm, **solve_hints
+            raw = inc.solve_raw(
+                backend=backend, time_limit=iteration_limit, warm_start=warm
             )
         except (SolverError, ModelingError) as exc:
             # a failed iteration conservatively rejects the request —
             # the run degrades instead of dying (Sec. V semantics: a
             # request that cannot be *proven* embeddable is rejected)
             logger.warning(
-                "greedy iteration for %s failed (%s); rejecting", request.name, exc
+                "%s solve for %s failed (%s); rejecting", label, request.name, exc
             )
             runtimes.append(time.perf_counter() - tick)
-            reject(request)
+            decide(_earliest_slot(request), False)
             continue
         runtimes.append(time.perf_counter() - tick)
 
+        # flows are time-invariant, so the last solve's x_E values stay
+        # feasible and warm-start the next one
         if raw.has_solution:
             flow_values = _link_flow_values(raw)
-        embeddable = (
-            raw.has_solution
-            and raw.rounded(target.x_embed) == 1
-        )
-        if embeddable:
-            start = raw.value(model.t_start[request.name])
-            end = raw.value(model.t_end[request.name])
+        if raw.has_solution and raw.rounded(target.x_embed) == 1:
             # pin the window to the chosen schedule
-            current[request.name] = request.with_schedule(start, end)
-            accepted.append(request.name)
-            get_registry().inc("greedy.accepted")
-            if inc is not None:
-                inc.decide(request.name, True, current[request.name])
+            start = raw.value(inc.t_start[request.name])
+            end = raw.value(inc.t_end[request.name])
+            decide(request.with_schedule(start, end), True)
         else:
-            reject(request)
+            decide(_earliest_slot(request), False)
 
     # one final fully-pinned solve over *all* requests: with every
     # schedule and accept/reject decision fixed, this is cheap, and it
     # guarantees the extraction covers the whole request set even if a
-    # per-iteration time limit left some intermediate solve empty —
-    # routed through the same incremental model (one more tail rebuild)
-    # whenever every request's embedding block made it in
-    if inc is not None and all(inc.contains(name) for name in current):
-        inc.rebuild_tail()
-        final_model = inc
-    else:
-        final_model = CSigmaModel(
-            substrate,
-            list(current.values()),
-            fixed_mappings=dict(fixed_mappings),
-            force_embedded=accepted,
-            force_rejected=rejected,
-            options=_with_horizon(options, horizon),
-        )
-    # the final solve is fully pinned and therefore cheap; grant it a
-    # small grace period even when the budget just ran out, because
+    # per-iteration time limit left some intermediate solve empty.  It
+    # gets a grace second even when the budget just ran out, because
     # without it there is nothing to extract
-    final_limit = None
-    if budget is not None:
-        final_limit = max(budget.clamp(None), 1.0)
+    inc.rebuild_tail()
+    final_limit = None if budget is None else max(budget.clamp(None), 1.0)
     try:
         final_warm = validated_warm_start(
-            final_model, _pinned_schedule(current, accepted), flow_values
+            inc, _pinned_schedule(inc.requests, accepted), flow_values
         )
-        final_raw = solve_raw_warm(
-            final_model, backend, final_limit, final_warm, **solve_hints
+        final_raw = inc.solve_raw(
+            backend=backend, time_limit=final_limit, warm_start=final_warm
         )
     except SolverError as exc:
-        raise SolverError(
-            f"greedy final extraction solve failed: {exc}"
-        ) from exc
-    solution = final_model.extract(final_raw)
-    solution.model_name = "csigma-greedy"
-    solution.objective = solution.total_revenue()
-    solution.runtime = sum(runtimes)
-    solution.gap = 0.0
-    final = _reconcile(solution, requests)
-    return GreedyResult(
-        solution=final,
-        iteration_runtimes=runtimes,
-        accepted_order=accepted,
-    )
+        raise SolverError(f"{label} final extraction solve failed: {exc}") from exc
+    return inc.extract(final_raw), runtimes
 
 
 def greedy_enumerative(
@@ -511,13 +450,16 @@ def _with_horizon(options: ModelOptions, horizon: float) -> ModelOptions:
 
 
 def _reconcile(
-    solution: TemporalSolution, original_requests: Sequence[Request]
+    solution: TemporalSolution,
+    original_requests: Sequence[Request],
+    model_name: str,
+    runtime: float,
 ) -> TemporalSolution:
-    """Restore the original (un-pinned) request objects in the output.
+    """The reported solution: original (un-pinned) requests, revenue objective.
 
-    The greedy pins windows internally; the reported solution should
-    reference the caller's requests so window checks use the *original*
-    flexibilities.
+    The insertion loop pins windows internally; the reported solution
+    should reference the caller's requests so window checks use the
+    *original* flexibilities.
     """
     by_name = {r.name: r for r in original_requests}
     scheduled = {}
@@ -530,14 +472,15 @@ def _reconcile(
             node_mapping=entry.node_mapping,
             link_flows=entry.link_flows,
         )
-    return TemporalSolution(
+    final = TemporalSolution(
         solution.substrate,
         scheduled,
-        objective=solution.objective,
-        model_name=solution.model_name,
-        runtime=solution.runtime,
-        gap=solution.gap,
+        model_name=model_name,
+        runtime=runtime,
+        gap=0.0,
         node_count=solution.node_count,
         status=solution.status,
         rung=solution.rung,
     )
+    final.objective = final.total_revenue()
+    return final

@@ -14,7 +14,8 @@ labor:
    control), obtaining their accept/reject decisions and schedules;
 3. insert the small requests **greedily** (earliest-start order, each
    as one cSigma solve with everything placed so far pinned — the
-   same per-iteration machinery as Algorithm cSigma^G_A).
+   insertion loop of Algorithm cSigma^G_A, started from the
+   heavy-hitters' outcomes instead of an empty model).
 
 The result is always feasible, dominates pure greedy whenever the
 heavy-hitters carry most of the revenue (they get the optimal
@@ -24,28 +25,30 @@ greedy iterations instead of one big exact solve.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.exceptions import ModelingError, SolverError, ValidationError
-from repro.mip.model import ObjectiveSense
+from repro.exceptions import SolverError, ValidationError
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
-from repro.observability.metrics import get_registry
 from repro.runtime.budget import SolveBudget
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.csigma_model import CSigmaModel
-from repro.tvnep.greedy import _link_flow_values, _pinned_schedule, solve_raw_warm
+from repro.tvnep.greedy import (
+    _earliest_slot,
+    _insert_all,
+    _link_flow_values,
+    _reconcile,
+    _with_horizon,
+)
 from repro.tvnep.incremental import IncrementalCSigmaModel
-from repro.tvnep.solution import ScheduledRequest, TemporalSolution
-from repro.tvnep.warmstart import validated_warm_start
+from repro.tvnep.solution import TemporalSolution
+# perfbench/tracing.py patches this name on both loop modules
+from repro.tvnep.warmstart import validated_warm_start  # noqa: F401
 from repro.vnep.embedding_vars import NodeMapping
 
 __all__ = ["HybridResult", "hybrid_heavy_hitters"]
-
-logger = logging.getLogger("repro.runtime")
 
 
 @dataclass
@@ -86,10 +89,12 @@ def hybrid_heavy_hitters(
     time_limit_per_iteration: float | None = None,
     time_limit: float | None = None,
     budget: SolveBudget | None = None,
-    lp_session: str | None = None,
-    incremental: bool = True,
 ) -> HybridResult:
     """Exact on the heavy-hitters, greedy on the rest (Sec. VIII).
+
+    The insertion phase is the greedy's own loop over one growing
+    :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`, seeded
+    with the heavy-hitters' pinned outcomes instead of starting empty.
 
     Parameters
     ----------
@@ -105,18 +110,12 @@ def hybrid_heavy_hitters(
         one from): the exact phase receives half the remaining time and
         the greedy insertions divide the rest fairly, so the hybrid
         always terminates on schedule.
-    lp_session:
-        Optional LP-engine spec (see :mod:`repro.mip.lp_engine`)
-        forwarded to branch-and-bound backends; the insertion loop
-        re-solves near-identical cSigma models, the best case for a
-        persistent session.  Backends without the keyword ignore it.
-    incremental:
-        Run the insertion phase on one growing
-        :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`
-        (default) — seeded with the heavy-hitters' pinned outcomes,
-        then extended per small request — instead of rebuilding a fresh
-        cSigma model per insertion.  Decisions are identical either way
-        (the per-insertion standard forms are byte-equal).
+
+    Raises
+    ------
+    ModelingError
+        When a request's embedding block cannot be built (e.g. a mapping
+        target that is not a substrate node).
     """
     if not 0.0 <= heavy_fraction <= 1.0:
         raise ValidationError("heavy_fraction must lie in [0, 1]")
@@ -130,7 +129,6 @@ def hybrid_heavy_hitters(
         budget = SolveBudget(time_limit)
     horizon = max(r.latest_end for r in requests)
     options = _with_horizon(options, horizon)
-    solve_hints = {} if lp_session is None else {"lp_session": lp_session}
 
     by_revenue = sorted(requests, key=lambda r: (-r.revenue(), r.name))
     num_heavy = max(1, round(heavy_fraction * len(by_revenue))) if by_revenue else 0
@@ -138,8 +136,6 @@ def hybrid_heavy_hitters(
     small = sorted(
         by_revenue[num_heavy:], key=lambda r: (r.earliest_start, r.name)
     )
-    heavy_names = [r.name for r in heavy]
-    small_names = [r.name for r in small]
 
     # -- phase 1: exact on the heavy-hitters ------------------------------
     # the exact phase gets half the remaining global budget; the greedy
@@ -153,223 +149,48 @@ def hybrid_heavy_hitters(
     exact_model = CSigmaModel(
         substrate,
         heavy,
-        fixed_mappings={name: fixed_mappings[name] for name in heavy_names},
+        fixed_mappings={r.name: fixed_mappings[r.name] for r in heavy},
         options=options,
     )
     exact_raw = exact_model.solve_raw(backend=backend, time_limit=exact_time_limit)
     exact_solution = exact_model.extract(exact_raw)
     exact_runtime = time.perf_counter() - tick
-    # x_E values of the exact phase seed the insertion warm starts
-    flow_values = _link_flow_values(exact_raw) if exact_raw.has_solution else {}
-
-    # pin the heavy-hitters' outcomes
-    current: dict[str, Request] = {}
-    accepted: list[str] = []
-    rejected: list[str] = []
-    for request in heavy:
-        entry = exact_solution.scheduled.get(request.name)
-        if entry is not None and entry.embedded:
-            current[request.name] = request.with_schedule(entry.start, entry.end)
-            accepted.append(request.name)
-        else:
-            current[request.name] = request.with_schedule(
-                request.earliest_start,
-                request.earliest_start + request.duration,
-            )
-            rejected.append(request.name)
 
     # -- phase 2: greedy insertion of the small requests -------------------
-    # one growing model seeded with the heavy-hitters' pinned outcomes;
-    # each small request appends its embedding block and rebuilds only
-    # the temporal tail
-    inc: IncrementalCSigmaModel | None = None
-    if incremental:
-        inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
-        try:
-            for request in heavy:
-                inc.insert(request, fixed_mappings[request.name])
-                inc.decide(
-                    request.name,
-                    request.name in accepted,
-                    current[request.name],
-                )
-        except (SolverError, ModelingError) as exc:  # pragma: no cover
-            # a heavy embedding that built in the exact phase should
-            # always build here; degrade to the fresh-model loop if not
-            logger.warning(
-                "hybrid could not seed the incremental model (%s); "
-                "falling back to per-insertion models",
-                exc,
-            )
-            inc = None
-
-    greedy_runtimes: list[float] = []
-    for position, request in enumerate(small):
-        current[request.name] = request
-        get_registry().inc("hybrid.insertions")
-
-        def _reject() -> None:
-            current[request.name] = request.with_schedule(
-                request.earliest_start,
-                request.earliest_start + request.duration,
-            )
-            rejected.append(request.name)
-            get_registry().inc("hybrid.rejected")
-            if inc is not None and inc.contains(request.name):
-                inc.decide(request.name, False, current[request.name])
-
-        if inc is not None:
-            try:
-                inc.insert(request, fixed_mappings[request.name])
-            except (SolverError, ModelingError) as exc:
-                logger.warning(
-                    "hybrid could not add %s to the incremental model "
-                    "(%s); rejecting",
-                    request.name,
-                    exc,
-                )
-                greedy_runtimes.append(0.0)
-                _reject()
-                continue
-
-        if budget is not None and budget.expired:
-            logger.warning(
-                "hybrid budget exhausted after %d/%d insertions; "
-                "rejecting %s without solving",
-                position,
-                len(small),
-                request.name,
-            )
-            greedy_runtimes.append(0.0)
-            _reject()
-            continue
-        iteration_limit = time_limit_per_iteration
-        if budget is not None:
-            share = budget.per_iteration(len(small) - position + 1, floor=0.05)
-            iteration_limit = (
-                share if iteration_limit is None else min(iteration_limit, share)
-            )
-        tick = time.perf_counter()
-        try:
-            if inc is not None:
-                inc.rebuild_tail()
-                model = inc
-            else:
-                model = CSigmaModel(
-                    substrate,
-                    list(current.values()),
-                    fixed_mappings={
-                        name: fixed_mappings[name] for name in current
-                    },
-                    force_embedded=accepted,
-                    force_rejected=rejected,
-                    options=options,
-                )
-            target = model.embeddings[request.name]
-            model.model.set_objective(
-                target.x_embed * horizon + (horizon - model.t_end[request.name]),
-                ObjectiveSense.MAXIMIZE,
-            )
-            warm = validated_warm_start(
-                model,
-                _pinned_schedule(current, accepted, candidate=request.name),
-                flow_values,
-            )
-            raw = solve_raw_warm(
-                model, backend, iteration_limit, warm, **solve_hints
-            )
-        except (SolverError, ModelingError) as exc:
-            logger.warning(
-                "hybrid insertion for %s failed (%s); rejecting", request.name, exc
-            )
-            greedy_runtimes.append(time.perf_counter() - tick)
-            _reject()
-            continue
-        greedy_runtimes.append(time.perf_counter() - tick)
-        if raw.has_solution:
-            flow_values = _link_flow_values(raw)
-        if raw.has_solution and raw.rounded(target.x_embed) == 1:
-            start = raw.value(model.t_start[request.name])
-            end = raw.value(model.t_end[request.name])
-            current[request.name] = request.with_schedule(start, end)
+    # seed one growing model with the heavy-hitters' pinned outcomes
+    inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
+    accepted: list[str] = []
+    for request in heavy:
+        inc.insert(request, fixed_mappings[request.name])
+        entry = exact_solution.scheduled.get(request.name)
+        if entry is not None and entry.embedded:
             accepted.append(request.name)
-            get_registry().inc("hybrid.accepted")
-            if inc is not None:
-                inc.decide(request.name, True, current[request.name])
+            pinned = request.with_schedule(entry.start, entry.end)
+            inc.decide(request.name, True, pinned)
         else:
-            _reject()
-
-    # -- assemble the final solution ---------------------------------------
-    # a fully-pinned solve over the whole request set (cheap: every
-    # decision is fixed) so the extraction always covers all requests;
-    # reuses the incremental model (one more tail rebuild) when possible
-    if inc is not None and all(inc.contains(name) for name in current):
-        inc.rebuild_tail()
-        final_model = inc
-    else:
-        final_model = CSigmaModel(
-            substrate,
-            list(current.values()),
-            fixed_mappings={name: fixed_mappings[name] for name in current},
-            force_embedded=accepted,
-            force_rejected=rejected,
-            options=options,
-        )
-    # fully pinned and cheap; granted a grace second past the deadline
-    final_limit = max(budget.clamp(None), 1.0) if budget is not None else None
-    final_warm = validated_warm_start(
-        final_model, _pinned_schedule(current, accepted), flow_values
+            inc.decide(request.name, False, _earliest_slot(request))
+    # x_E values of the exact phase seed the insertion warm starts
+    solution, greedy_runtimes = _insert_all(
+        inc,
+        small,
+        fixed_mappings,
+        accepted,
+        _link_flow_values(exact_raw) if exact_raw.has_solution else {},
+        backend=backend,
+        time_limit_per_iteration=time_limit_per_iteration,
+        budget=budget,
+        label="hybrid",
+        step="insertions",
     )
-    solution = final_model.extract(
-        solve_raw_warm(final_model, backend, final_limit, final_warm, **solve_hints)
-    )
-
-    solution = _restore_requests(solution, requests)
-    solution.model_name = "hybrid-heavy-hitters"
-    solution.objective = solution.total_revenue()
-    solution.runtime = exact_runtime + sum(greedy_runtimes)
-    solution.gap = 0.0
     return HybridResult(
-        solution=solution,
-        heavy_names=heavy_names,
-        small_names=small_names,
+        solution=_reconcile(
+            solution,
+            requests,
+            "hybrid-heavy-hitters",
+            exact_runtime + sum(greedy_runtimes),
+        ),
+        heavy_names=[r.name for r in heavy],
+        small_names=[r.name for r in small],
         exact_runtime=exact_runtime,
         greedy_runtimes=greedy_runtimes,
-    )
-
-
-def _with_horizon(options: ModelOptions, horizon: float) -> ModelOptions:
-    if options.time_horizon is not None:
-        return options
-    from dataclasses import replace
-
-    return replace(options, time_horizon=horizon)
-
-
-def _restore_requests(
-    solution: TemporalSolution, originals: Sequence[Request]
-) -> TemporalSolution:
-    """Swap the pinned request copies back for the caller's originals."""
-    by_name = {r.name: r for r in originals}
-    scheduled = {
-        name: ScheduledRequest(
-            request=by_name[name],
-            embedded=entry.embedded,
-            start=entry.start,
-            end=entry.end,
-            node_mapping=entry.node_mapping,
-            link_flows=entry.link_flows,
-        )
-        for name, entry in solution.scheduled.items()
-    }
-    return TemporalSolution(
-        solution.substrate,
-        scheduled,
-        objective=solution.objective,
-        model_name=solution.model_name,
-        runtime=solution.runtime,
-        gap=solution.gap,
-        node_count=solution.node_count,
-        status=solution.status,
-        rung=solution.rung,
     )

@@ -29,7 +29,7 @@ class exposes at each iteration compiles to the *same*
 :class:`~repro.mip.model.StandardForm` as a fresh
 :class:`~repro.tvnep.csigma_model.CSigmaModel` over the same pinned
 request list (``tests/tvnep/test_incremental_model.py``), so the greedy
-makes identical accept/reject decisions with either construction path.
+makes the accept/reject decisions a fresh model per iteration would.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class IncrementalCSigmaModel(CSigmaModel):
             try:
                 self._build_one_embedding(request)
             except Exception:
-                # leave the model exactly as before the failed insert;
-                # the caller typically rejects the request without it
+                # leave the model exactly as before the failed insert,
+                # so it stays usable
                 self.model.truncate(checkpoint)
                 self.requests.pop()
                 del self._index_of[request.name]
@@ -194,10 +194,6 @@ class IncrementalCSigmaModel(CSigmaModel):
             self.set_access_control_objective()
             self._tail_built = True
         self._emit_build_event(incremental=True)
-
-    def contains(self, name: str) -> bool:
-        """Whether a request's embedding block made it into the model."""
-        return name in self._index_of
 
     # ------------------------------------------------------------------
     def _drop_tail(self) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SolverError
+from repro.exceptions import ModelingError, SolverError
 from repro.network import (
     Request,
     SubstrateNetwork,
@@ -17,6 +17,7 @@ from repro.network import (
 from repro.network.topologies import star
 from repro.tvnep import CSigmaModel, greedy_csigma, verify_solution
 from repro.vnep import random_node_mapping
+from repro.workloads import small_scenario
 
 
 def unit_request(name, t_s, t_e, d, demand=1.0):
@@ -255,3 +256,50 @@ class TestGlobalBudget:
         assert not result.solution["A"].embedded
         assert result.solution["B"].embedded
         assert verify_solution(result.solution).feasible
+
+
+class TestErrorsSurface:
+    def test_backend_type_error_propagates_without_a_retry(self):
+        from repro.runtime import get_backend
+
+        scenario = small_scenario(0, num_requests=3).with_flexibility(1.0)
+        calls: list[int] = []
+
+        def flaky(model, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TypeError("bug inside the backend")
+            return get_backend("highs")(model, **kwargs)
+
+        with pytest.raises(TypeError, match="bug inside the backend"):
+            greedy_csigma(
+                scenario.substrate,
+                scenario.requests,
+                scenario.node_mappings,
+                backend=flaky,
+            )
+        assert len(calls) == 2
+
+    def test_unbuildable_embedding_raises_before_further_solves(self):
+        from repro.runtime import get_backend
+
+        scenario = small_scenario(0, num_requests=4)
+        mappings = dict(scenario.node_mappings)
+        mappings["R01"] = {v: "no-such-node" for v in mappings["R01"]}
+        calls: list[int] = []
+
+        def counting(model, **kwargs):
+            calls.append(1)
+            return get_backend("highs")(model, **kwargs)
+
+        with pytest.raises(ModelingError, match="R01"):
+            greedy_csigma(
+                scenario.substrate, scenario.requests, mappings, backend=counting
+            )
+        # only the requests ordered before R01 were solved
+        bad_start = next(
+            r.earliest_start for r in scenario.requests if r.name == "R01"
+        )
+        earlier = [r for r in scenario.requests if r.earliest_start < bad_start]
+        assert earlier
+        assert len(calls) == len(earlier)

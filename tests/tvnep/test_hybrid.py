@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SolverError, ValidationError
+from repro.exceptions import ModelingError, SolverError, ValidationError
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
 from repro.tvnep import CSigmaModel, verify_solution
 from repro.tvnep.hybrid import hybrid_heavy_hitters
@@ -70,6 +70,33 @@ class TestSplit:
         sub = one_node()
         with pytest.raises(SolverError):
             hybrid_heavy_hitters(sub, [unit_request("a", 0, 4, 2)], {})
+
+
+class TestErrorsSurface:
+    def test_unbuildable_embedding_raises_before_further_solves(self):
+        from repro.runtime import get_backend
+
+        scenario = small_scenario(0, num_requests=4)
+        # R01 carries the most revenue and is the one heavy-hitter, so
+        # break the small request R02 (small order: R00, R02, R03)
+        mappings = dict(scenario.node_mappings)
+        mappings["R02"] = {v: "no-such-node" for v in mappings["R02"]}
+        calls: list[int] = []
+
+        def counting(model, **kwargs):
+            calls.append(1)
+            return get_backend("highs")(model, **kwargs)
+
+        with pytest.raises(ModelingError, match="R02"):
+            hybrid_heavy_hitters(
+                scenario.substrate,
+                scenario.requests,
+                mappings,
+                heavy_fraction=0.25,
+                backend=counting,
+            )
+        # the exact phase and R00's insertion; nothing after R02
+        assert len(calls) == 2
 
 
 class TestQuality:
