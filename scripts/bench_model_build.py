@@ -110,7 +110,6 @@ def run_strategy(scenario, backend: str, formulation: str, repeats: int) -> dict
             "model_build_ms": registry.counter("model.build_ms"),
             "columnar_terms": int(registry.counter("model.columnar_terms")),
             "incremental_reuses": int(registry.counter("model.incremental_reuses")),
-            "lp_appends": int(registry.counter("solver.lp_appends")),
             "outcome": outcome_fingerprint(result),
             "deterministic_metrics": deterministic_snapshot(registry.snapshot()),
         }
@@ -209,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
 
     print(f"columnar build speedup vs legacy: {speedup:.2f}x  "
-          f"(reuses {columnar['incremental_reuses']}, "
-          f"lp appends {columnar['lp_appends']})")
+          f"(reuses {columnar['incremental_reuses']})")
     print(f"parity: {parity}")
     print(f"deterministic: {deterministic}")
     print(f"wrote {args.output}")

@@ -13,14 +13,17 @@ conservatively: negative binary coefficients are complemented
 through the *guaranteed* part of their activity (the continuous
 columns' minimal contribution tightens the right-hand side).  Cuts are
 separated at the root and appended to the standard form before the
-search starts (cut-and-branch).
+search starts (cut-and-branch); each round yields a new form, which the
+solver loads into a fresh LP session.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.mip.model import StandardForm
 
@@ -116,40 +119,22 @@ def extend_form_with_cuts(
     form: StandardForm,
     cuts: list[tuple[np.ndarray, np.ndarray, float]],
 ) -> StandardForm:
-    """A new standard form with the cut rows appended.
-
-    Packaged as a :class:`~repro.mip.columnar.FormBlock` and appended
-    via :meth:`StandardForm.append_block`, so the prefix CSR arrays are
-    concatenated (never re-assembled) and the result satisfies
-    :func:`~repro.mip.lp_engine.form_extends` — which lets a live
-    :class:`~repro.mip.lp_engine.LPSession` absorb the cut rows in
-    place instead of reloading.
-    """
+    """A new standard form with the cut rows appended (columns unchanged)."""
     if not cuts:
         return form
-    from repro.mip.columnar import FormBlock
-
-    # canonicalize each row (sorted columns; duplicates cannot occur —
-    # cover members are distinct columns of one source row)
-    sorted_cols: list[np.ndarray] = []
-    sorted_signs: list[np.ndarray] = []
-    for cols, signs, _ in cuts:
-        order = np.argsort(cols, kind="stable")
-        sorted_cols.append(np.asarray(cols, dtype=np.int64)[order])
-        sorted_signs.append(np.asarray(signs, dtype=np.float64)[order])
-    indptr = np.zeros(len(cuts) + 1, dtype=np.int64)
-    np.cumsum([len(cols) for cols in sorted_cols], out=indptr[1:])
-    block = FormBlock(
-        variables=[],
-        c_tail=np.zeros(0),
-        lb=np.zeros(0),
-        ub=np.zeros(0),
-        integrality=np.zeros(0, dtype=np.uint8),
-        indptr=indptr,
-        cols=np.concatenate(sorted_cols),
-        data=np.concatenate(sorted_signs),
-        row_lb=np.full(len(cuts), -np.inf),
-        row_ub=np.array([rhs for (_, _, rhs) in cuts], dtype=np.float64),
-        names=[f"cover{i}" for i in range(len(cuts))],
+    rows = np.repeat(np.arange(len(cuts)), [len(cols) for cols, _, _ in cuts])
+    cut_matrix = sp.csr_matrix(
+        (
+            np.concatenate([signs for _, signs, _ in cuts]).astype(np.float64),
+            (rows, np.concatenate([cols for cols, _, _ in cuts])),
+        ),
+        shape=(len(cuts), form.num_vars),
     )
-    return form.append_block(block)
+    return dataclasses.replace(
+        form,
+        A=sp.vstack([form.A, cut_matrix], format="csr"),
+        row_lb=np.concatenate([form.row_lb, np.full(len(cuts), -np.inf)]),
+        row_ub=np.concatenate([form.row_ub, [rhs for _, _, rhs in cuts]]),
+        constraint_names=form.constraint_names
+        + [f"cover{i}" for i in range(len(cuts))],
+    )

@@ -67,11 +67,6 @@ class BranchAndBoundSolver:
         Relative gap at which the search stops.
     integrality_tol:
         LP values within this distance of an integer count as integral.
-    lp_session:
-        LP engine spec for the node relaxations: ``"auto"`` (HiGHS
-        persistent session with basis hot-starts when bindings are
-        available, scipy otherwise), ``"scipy"``, ``"highs"``, or a
-        callable ``form -> LPSession`` (see :mod:`repro.mip.lp_engine`).
     rc_fixing:
         Apply root reduced-cost fixing once an incumbent exists: fix
         integral columns whose flip provably cannot beat the incumbent
@@ -94,7 +89,6 @@ class BranchAndBoundSolver:
         rounding_heuristic: bool = True,
         cover_cuts: bool = False,
         max_cut_rounds: int = 5,
-        lp_session="auto",
         rc_fixing: bool = True,
         node_lp_cache: bool = True,
     ) -> None:
@@ -106,7 +100,6 @@ class BranchAndBoundSolver:
         self.rounding_heuristic = rounding_heuristic
         self.cover_cuts = cover_cuts
         self.max_cut_rounds = max_cut_rounds
-        self.lp_session = lp_session
         self.rc_fixing = rc_fixing
         self.node_lp_cache = node_lp_cache
 
@@ -244,7 +237,7 @@ class BranchAndBoundSolver:
                 )
             root_lb, root_ub = presolved.lb, presolved.ub
 
-        session = make_session(form, self.lp_session)
+        session = make_session(form)
         if trace is not None:
             trace.emit("lp_session", engine=session.engine)
 
@@ -320,12 +313,10 @@ class BranchAndBoundSolver:
                     break
                 metrics.inc("solver.cuts_added", len(cuts))
                 form = extend_form_with_cuts(form, cuts)
-                # push the cut rows into the live session when the
-                # engine supports row appends; otherwise reload the
-                # strengthened form into a fresh session
-                if not session.load_appended(form):
-                    session.close()
-                    session = make_session(form, self.lp_session)
+                # a session is bound to one form: reload the
+                # strengthened form into a fresh one
+                session.close()
+                session = make_session(form)
                 with metrics.timer("phase.cuts"):
                     root_outcome = session.solve(root_lb, root_ub)
                 root.basis = root_outcome.basis
@@ -715,7 +706,6 @@ def solve(
     budget=None,
     warm_start=None,
     trace=None,
-    lp_session="auto",
     rc_fixing: bool = True,
     node_lp_cache: bool = True,
 ) -> Solution:
@@ -724,7 +714,6 @@ def solve(
         branching=branching,
         node_selection=node_selection,
         mip_gap=mip_gap,
-        lp_session=lp_session,
         rc_fixing=rc_fixing,
         node_lp_cache=node_lp_cache,
     )

@@ -24,13 +24,6 @@ This module provides the columnar fast path:
     can lazily re-materialize Constraints for diagnostics (the LP
     writer, ``check_assignment``).
 
-:class:`FormBlock` / :meth:`StandardForm.append_block <repro.mip.model.StandardForm.append_block>`
-    A compiled *extension* of a standard form — new columns plus new
-    rows — that can be appended to an existing
-    :class:`~repro.mip.model.StandardForm` without recompiling the
-    prefix: CSR row append is an array concatenation, and column append
-    is free (old rows never reference new columns).
-
 The differential tests in ``tests/tvnep/test_columnar_formulation.py``
 prove that the columnar and legacy paths compile to *identical*
 standard forms, so the legacy path remains the readable executable
@@ -47,7 +40,7 @@ from repro.exceptions import ModelingError
 from repro.mip.constraint import Constraint, Sense
 from repro.mip.expr import LinExpr, Variable
 
-__all__ = ["RowBlock", "ColumnarEmitter", "FormBlock"]
+__all__ = ["RowBlock", "ColumnarEmitter"]
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -271,62 +264,3 @@ class ColumnarEmitter:
         self._names, self._row_lb, self._row_ub = [], [], []
         self._rows, self._cols, self._data = [], [], []
 
-
-class FormBlock:
-    """A compiled extension of a :class:`~repro.mip.model.StandardForm`.
-
-    Produced by :meth:`Model.extend() <repro.mip.model.ModelExtension.block>`:
-    the new columns' metadata plus the new rows' CSR parts (over the
-    *extended* column space).  Consumed by
-    :meth:`StandardForm.append_block`, which concatenates without
-    touching the prefix — valid because rows added before the extension
-    can never reference columns added after it.
-    """
-
-    __slots__ = (
-        "variables",
-        "c_tail",
-        "lb",
-        "ub",
-        "integrality",
-        "indptr",
-        "cols",
-        "data",
-        "row_lb",
-        "row_ub",
-        "names",
-    )
-
-    def __init__(
-        self,
-        variables: list[Variable],
-        c_tail: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
-        integrality: np.ndarray,
-        indptr: np.ndarray,
-        cols: np.ndarray,
-        data: np.ndarray,
-        row_lb: np.ndarray,
-        row_ub: np.ndarray,
-        names: list[str],
-    ) -> None:
-        self.variables = variables
-        self.c_tail = c_tail
-        self.lb = lb
-        self.ub = ub
-        self.integrality = integrality
-        self.indptr = indptr
-        self.cols = cols
-        self.data = data
-        self.row_lb = row_lb
-        self.row_ub = row_ub
-        self.names = names
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.names)

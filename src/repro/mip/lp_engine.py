@@ -33,6 +33,12 @@ updates.  Two implementations:
     (probed defensively: any import or API mismatch downgrades to
     :class:`ScipySession` instead of crashing).
 
+:func:`make_session` is the one place the engine is chosen, by
+platform alone: :class:`HighspySession` whenever bindings were found,
+:class:`ScipySession` otherwise (scipy < 1.15 without the extra).
+A session is bound to one form; branch-and-bound closes it and opens a
+new one after each cut round.
+
 On top of the session layer, :func:`reduced_cost_fixing` implements root
 reduced-cost fixing: given the root relaxation's reduced costs and an
 incumbent bound, integral columns whose flip provably cannot improve the
@@ -47,15 +53,12 @@ Telemetry (reported to the active
 * ``solver.lp_iterations`` — cumulative simplex iterations,
 * ``phase.lp_update_ms`` — time spent pushing bound updates into the
   session (distinct from ``phase.lp_ms``, the solve itself),
-* ``solver.rc_fixed_cols`` — columns fixed by reduced-cost fixing,
-* ``solver.lp_appends`` — row-append rebinds answered by
-  :meth:`LPSession.load_appended` without a session reload.
+* ``solver.rc_fixed_cols`` — columns fixed by reduced-cost fixing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -68,47 +71,9 @@ __all__ = [
     "ScipySession",
     "HighspySession",
     "make_session",
-    "default_session_spec",
-    "form_extends",
     "reduced_cost_fixing",
-    "HAVE_HIGHSPY",
     "HAVE_HIGHS_BINDINGS",
-    "SESSION_SPECS",
 ]
-
-
-def form_extends(old: StandardForm, new: StandardForm) -> bool:
-    """Whether ``new`` is ``old`` plus appended rows (and/or columns).
-
-    True iff the first ``old.num_constraints`` rows and first
-    ``old.num_vars`` columns of ``new`` — matrix bytes, objective
-    coefficients, row bounds, sense — are exactly ``old``'s.  This is
-    the contract :meth:`LPSession.load_appended` requires; forms grown
-    with :meth:`~repro.mip.model.StandardForm.append_block` satisfy it
-    by construction, and the checks below are cheap contiguous-array
-    comparisons (no re-assembly).
-    """
-    m, n = old.num_constraints, old.num_vars
-    if new.num_constraints < m or new.num_vars < n:
-        return False
-    if new.sense_sign != old.sense_sign or new.c0 != old.c0:
-        return False
-    nnz = int(old.A.indptr[m])
-    return (
-        np.array_equal(new.A.indptr[: m + 1], old.A.indptr)
-        and np.array_equal(new.A.indices[:nnz], old.A.indices)
-        and np.array_equal(new.A.data[:nnz], old.A.data)
-        and np.array_equal(new.c[:n], old.c)
-        and np.array_equal(new.row_lb[:m], old.row_lb)
-        and np.array_equal(new.row_ub[:m], old.row_ub)
-    )
-
-#: environment variable overriding the default session spec (the CI
-#: ``highs-extra`` job forces ``highs`` through it)
-SESSION_ENV = "REPRO_LP_SESSION"
-
-#: accepted ``make_session`` specs
-SESSION_SPECS = ("auto", "scipy", "highs")
 
 
 # ----------------------------------------------------------------------
@@ -177,29 +142,10 @@ def _selftest_bindings(mod, highs_cls) -> bool:
     )
 
 
-try:  # pragma: no cover - trivially true or false per environment
-    import highspy as _highspy_probe  # noqa: F401
-
-    HAVE_HIGHSPY = True
-except Exception:  # pragma: no cover
-    HAVE_HIGHSPY = False
-
 _HIGHS_MOD, _HIGHS_CLS = _load_highs_bindings()
 
 #: usable HiGHS bindings exist (real ``highspy`` or scipy's vendored copy)
 HAVE_HIGHS_BINDINGS = _HIGHS_MOD is not None
-
-
-def default_session_spec() -> str:
-    """The session spec used when a solver is built with ``"auto"``.
-
-    ``REPRO_LP_SESSION`` overrides (``scipy``/``highs``); otherwise the
-    HiGHS-backed session is chosen whenever bindings are available.
-    """
-    env = os.environ.get(SESSION_ENV, "").strip().lower()
-    if env in ("scipy", "highs"):
-        return env
-    return "highs" if HAVE_HIGHS_BINDINGS else "scipy"
 
 
 # ----------------------------------------------------------------------
@@ -300,21 +246,6 @@ class LPSession:
         metrics.inc("solver.lp_iterations", result.iterations)
         return result
 
-    def load_appended(self, form: StandardForm) -> bool:
-        """Rebind the session to ``form``, an extension of the current form.
-
-        ``form`` must satisfy :func:`form_extends` with respect to the
-        form this session was loaded from (e.g. built via
-        :meth:`~repro.mip.model.StandardForm.append_block` or the cut
-        extension in branch-and-bound).  Engines that can absorb the new
-        rows in place do so and return ``True`` (counted under
-        ``solver.lp_appends``); the base implementation returns
-        ``False``, telling the caller to close this session and open a
-        fresh one.  On ``False`` the session may no longer be usable —
-        callers must treat it as closed.
-        """
-        return False
-
     def close(self) -> None:
         """Release backend resources (idempotent)."""
 
@@ -351,25 +282,6 @@ class ScipySession(LPSession):
         self._lp_parts = _lp_data(form)
         # reusable bounds buffer; replaces np.column_stack([lb, ub])
         self._bounds = np.empty((form.num_vars, 2), dtype=np.float64)
-
-    def load_appended(self, form: StandardForm) -> bool:
-        """Rebind to an extended form.
-
-        ``linprog`` holds no cross-call state, so "appending" here just
-        means recomputing the cached (A_ub, A_eq) split and growing the
-        bounds buffer — cheap, and it keeps the caller's session (and
-        its hot/cold statistics) alive across cut rounds.
-        """
-        from repro.mip.highs_backend import _lp_data
-
-        if form is not self.form and not form_extends(self.form, form):
-            return False
-        self.form = form
-        self._lp_parts = _lp_data(form)
-        if self._bounds.shape[0] != form.num_vars:
-            self._bounds = np.empty((form.num_vars, 2), dtype=np.float64)
-        get_registry().inc("solver.lp_appends")
-        return True
 
     def _solve(self, lb: np.ndarray, ub: np.ndarray, basis) -> LPResult:
         from scipy.optimize import linprog
@@ -469,52 +381,6 @@ class HighspySession(LPSession):
         lp.a_matrix_.value_ = np.asarray(A.data, dtype=np.float64)
         return lp
 
-    def load_appended(self, form: StandardForm) -> bool:
-        """Push appended rows into the live ``Highs`` instance.
-
-        Uses ``addRows`` so the loaded model — and any factorization
-        state HiGHS keeps — survives a cut round instead of being
-        rebuilt from scratch.  Column extensions are rare enough (no
-        in-repo producer extends columns mid-session) that they fall
-        back to a fresh session; so does any bindings surface that
-        rejects ``addRows``.
-        """
-        old = self.form
-        if form is old:
-            return True
-        if self._h is None or not form_extends(old, form):
-            return False
-        if form.num_vars != old.num_vars:
-            return False
-        new_rows = form.num_constraints - old.num_constraints
-        if new_rows == 0:
-            self.form = form
-            get_registry().inc("solver.lp_appends")
-            return True
-        A = form.A
-        start_nnz = int(A.indptr[old.num_constraints])
-        starts = (A.indptr[old.num_constraints : -1] - start_nnz).astype(np.int32)
-        try:
-            status = self._h.addRows(
-                new_rows,
-                np.asarray(form.row_lb[old.num_constraints :], dtype=np.float64),
-                np.asarray(form.row_ub[old.num_constraints :], dtype=np.float64),
-                int(A.indptr[-1]) - start_nnz,
-                starts,
-                np.asarray(A.indices[start_nnz:], dtype=np.int32),
-                np.asarray(A.data[start_nnz:], dtype=np.float64),
-            )
-            if status not in (self._mod.HighsStatus.kOk, self._mod.HighsStatus.kWarning):
-                return False
-        except Exception:
-            # bindings without addRows (or a partial mutation): the
-            # caller falls back to a fresh session, so a half-applied
-            # append is discarded with this instance
-            return False
-        self.form = form
-        get_registry().inc("solver.lp_appends")
-        return True
-
     def _solve(self, lb: np.ndarray, ub: np.ndarray, basis) -> LPResult:
         form = self.form
         if form.num_vars == 0:
@@ -573,33 +439,16 @@ class HighspySession(LPSession):
 # ----------------------------------------------------------------------
 # factory
 # ----------------------------------------------------------------------
-def make_session(form: StandardForm, spec: str | None = "auto") -> LPSession:
-    """Build an :class:`LPSession` for ``form``.
+def make_session(form: StandardForm) -> LPSession:
+    """Load ``form`` into the engine this platform supports.
 
-    ``spec`` is ``"auto"`` (HiGHS-backed when bindings exist, scipy
-    otherwise; overridable via the ``REPRO_LP_SESSION`` environment
-    variable), ``"scipy"``, ``"highs"``, or a callable
-    ``form -> LPSession`` for custom engines (benchmarks inject a
-    legacy baseline this way).
+    :class:`HighspySession` whenever usable HiGHS bindings exist (real
+    ``highspy`` or scipy >= 1.15's vendored copy), :class:`ScipySession`
+    otherwise.  This is the only place the engine is chosen.
     """
-    if callable(spec):
-        return spec(form)
-    spec = (spec or "auto").lower()
-    if spec == "auto":
-        spec = default_session_spec()
-    if spec == "scipy":
-        return ScipySession(form)
-    if spec == "highs":
-        if not HAVE_HIGHS_BINDINGS:
-            raise RuntimeError(
-                "lp_session='highs' requested but no usable HiGHS bindings "
-                "were found; pip install .[highs] or use 'scipy'"
-            )
+    if HAVE_HIGHS_BINDINGS:
         return HighspySession(form)
-    raise ValueError(
-        f"unknown lp_session spec {spec!r}; expected one of {SESSION_SPECS} "
-        "or a callable"
-    )
+    return ScipySession(form)
 
 
 # ----------------------------------------------------------------------

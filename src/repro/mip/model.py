@@ -39,7 +39,7 @@ from repro.mip.expr import ExprLike, LinExpr, Variable, VarType, as_expr
 from repro.observability.metrics import get_registry
 
 if TYPE_CHECKING:
-    from repro.mip.columnar import ColumnarEmitter, FormBlock, RowBlock
+    from repro.mip.columnar import ColumnarEmitter, RowBlock
 
 __all__ = [
     "ObjectiveSense",
@@ -142,42 +142,6 @@ class StandardForm:
         """Convert an internal (minimization) dual bound to user sense."""
         return self.sense_sign * internal_bound + self.c0
 
-    def append_block(self, block: "FormBlock") -> "StandardForm":
-        """Append an extension block without recompiling the prefix.
-
-        Returns a *new* :class:`StandardForm` whose first ``num_vars``
-        columns and first ``num_constraints`` rows are exactly this
-        form's (the CSR parts are concatenated, never re-assembled) and
-        whose tail is the block's new columns and rows.  Valid because
-        an extension's prefix rows cannot reference its new columns.
-
-        ``self`` is left untouched, so an :class:`~repro.mip.lp_engine`
-        session loaded from it can :meth:`~repro.mip.lp_engine.LPSession.load_appended`
-        the result.
-        """
-        n = self.num_vars + block.num_vars
-        m = self.num_constraints + block.num_rows
-        nnz = self.A.indptr[-1]
-        indptr = np.concatenate(
-            [self.A.indptr, block.indptr[1:].astype(np.int64) + int(nnz)]
-        )
-        indices = np.concatenate([self.A.indices, block.cols])
-        data = np.concatenate([self.A.data, block.data])
-        A = sp.csr_matrix((data, indices, indptr), shape=(m, n))
-        return StandardForm(
-            c=np.concatenate([self.c, block.c_tail]),
-            c0=self.c0,
-            A=A,
-            row_lb=np.concatenate([self.row_lb, block.row_lb]),
-            row_ub=np.concatenate([self.row_ub, block.row_ub]),
-            lb=np.concatenate([self.lb, block.lb]),
-            ub=np.concatenate([self.ub, block.ub]),
-            integrality=np.concatenate([self.integrality, block.integrality]),
-            sense_sign=self.sense_sign,
-            variables=self.variables + list(block.variables),
-            constraint_names=self.constraint_names + list(block.names),
-        )
-
 
 @dataclass(frozen=True)
 class ModelMark:
@@ -185,8 +149,7 @@ class ModelMark:
 
     Captures the variable/chunk/row counts plus an objective snapshot so
     :meth:`Model.truncate` can roll the model back to exactly this
-    point, and :meth:`Model.extend` can compile only what was added
-    since.
+    point.
     """
 
     num_vars: int
@@ -472,49 +435,6 @@ class Model:
         if self._prefix is not None and self._prefix.num_chunks > mark.num_chunks:
             self._prefix = self._prefix.sliced(mark.num_chunks, mark.num_rows)
         self.invalidate_standard_form()
-
-    def extend(self, since: ModelMark) -> "FormBlock":
-        """Compile everything added since ``since`` as a form extension.
-
-        The resulting :class:`~repro.mip.columnar.FormBlock` holds the
-        new columns' metadata (bounds, integrality, objective
-        coefficients in the internal minimization convention) and the
-        new rows' CSR parts over the extended column space; feed it to
-        :meth:`StandardForm.append_block` to grow a compiled form
-        without recompiling the prefix.  The *current* objective must
-        agree with the mark's on the old columns (extensions add terms,
-        they do not rewrite history).
-        """
-        from repro.mip.columnar import FormBlock
-
-        n = len(self._vars)
-        new_vars = self._vars[since.num_vars :]
-        sign = self._sense.sign
-        c_tail = np.zeros(len(new_vars))
-        for var, coef in self._objective.terms.items():
-            if var.index >= since.num_vars:
-                c_tail[var.index - since.num_vars] += coef
-        c_tail *= sign
-        indptr, indices, data, row_lb, row_ub, names = self._compile_chunk_rows(
-            self._chunks[since.num_chunks :], self._num_rows - since.num_rows, n
-        )
-        return FormBlock(
-            variables=list(new_vars),
-            c_tail=c_tail,
-            lb=np.fromiter((v.lb for v in new_vars), np.float64, count=len(new_vars)),
-            ub=np.fromiter((v.ub for v in new_vars), np.float64, count=len(new_vars)),
-            integrality=np.fromiter(
-                (1 if v.vtype.is_integral else 0 for v in new_vars),
-                dtype=np.uint8,
-                count=len(new_vars),
-            ),
-            indptr=indptr,
-            cols=indices,
-            data=data,
-            row_lb=row_lb,
-            row_ub=row_ub,
-            names=names,
-        )
 
     # ------------------------------------------------------------------
     # objective

@@ -49,26 +49,6 @@ def _solve_bnb(model, **kwargs):
     return solve(model, **kwargs)
 
 
-def _solve_bnb_scipy(model, **kwargs):
-    """Branch-and-bound pinned to the scipy LP session (no hot starts)."""
-    from repro.mip.bnb import solve
-
-    kwargs.setdefault("lp_session", "scipy")
-    return solve(model, **kwargs)
-
-
-def _solve_bnb_highs(model, **kwargs):
-    """Branch-and-bound pinned to the persistent HiGHS LP session.
-
-    Raises at solve time when no usable HiGHS bindings exist (install
-    the ``[highs]`` extra); the ``bnb`` name auto-selects instead.
-    """
-    from repro.mip.bnb import solve
-
-    kwargs.setdefault("lp_session", "highs")
-    return solve(model, **kwargs)
-
-
 def _solve_resilient(model, **kwargs):
     from repro.runtime.resilient import default_chain
 
@@ -130,6 +110,4 @@ def override_backend(name: str, backend: Backend) -> Iterator[Backend]:
 
 register_backend("highs", _solve_highs)
 register_backend("bnb", _solve_bnb)
-register_backend("bnb-scipy", _solve_bnb_scipy)
-register_backend("bnb-highs", _solve_bnb_highs)
 register_backend("resilient", _solve_resilient)

@@ -1,10 +1,9 @@
 """Unit tests for the columnar emission layer and incremental model growth.
 
-Covers the three pieces of :mod:`repro.mip.columnar` — the
-:class:`ColumnarEmitter` COO fast path, :class:`RowBlock` storage, and
-:class:`FormBlock`/:meth:`StandardForm.append_block` extension — plus
-the :class:`~repro.mip.model.Model` incremental-construction API
-(``mark``/``truncate``/``extend``) they compose with.  The invariant
+Covers the two pieces of :mod:`repro.mip.columnar` — the
+:class:`ColumnarEmitter` COO fast path and :class:`RowBlock` storage —
+plus the :class:`~repro.mip.model.Model` incremental-construction API
+(``mark``/``truncate``) they compose with.  The invariant
 under test everywhere: whatever the columnar path produces must be
 byte-identical to what the ``LinExpr`` dict algebra compiles to.
 """
@@ -198,16 +197,6 @@ class TestMarkTruncateExtend:
         bigger.continuous_var("extra")
         with pytest.raises(ModelingError):
             model.truncate(bigger.mark())
-
-    def test_extend_append_block_equals_fresh_compile(self):
-        model, x = self.build_base()
-        base_form = model.to_standard_form()
-        mark = model.mark()
-        self.add_tail(model, x)
-        block = model.extend(mark)
-        assert block.num_vars == 1 and block.num_rows == 2
-        appended = base_form.append_block(block)
-        assert_forms_equal(appended, model.to_standard_form())
 
     def test_repeated_tail_rebuilds_reuse_the_compiled_prefix(self):
         registry = MetricsRegistry()

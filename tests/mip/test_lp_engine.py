@@ -7,23 +7,39 @@ import math
 import numpy as np
 import pytest
 
+import repro.mip.lp_engine as lp_engine
 from repro.mip import Model, ObjectiveSense, quicksum
+from repro.mip import solve as solve_model
 from repro.mip.bnb import BranchAndBoundSolver
 from repro.mip.lp_engine import (
     HAVE_HIGHS_BINDINGS,
     HighspySession,
     ScipySession,
-    default_session_spec,
-    form_extends,
     make_session,
     reduced_cost_fixing,
 )
-from repro.mip.model import StandardForm
 from repro.observability.metrics import MetricsRegistry, use_registry
+from repro.tvnep.base import ModelOptions
+from repro.tvnep.csigma_model import CSigmaModel
+from repro.workloads import small_scenario
 
 needs_highs = pytest.mark.skipif(
     not HAVE_HIGHS_BINDINGS, reason="no usable HiGHS bindings"
 )
+
+
+def pick_engine(monkeypatch, engine):
+    """Make :func:`make_session` load ``engine`` for the rest of the test.
+
+    ``"scipy"`` hides the HiGHS bindings, ``"highs"`` requires them and
+    ``"auto"`` leaves the platform's choice alone.
+    """
+    if engine == "scipy":
+        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", False)
+    elif engine == "highs":
+        if not HAVE_HIGHS_BINDINGS:
+            pytest.skip("no usable HiGHS bindings")
+        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", True)
 
 
 def simple_lp():
@@ -146,35 +162,14 @@ class TestHighspySession:
                     )
 
 
-class TestFactory:
-    def test_scipy_spec(self):
-        assert make_session(simple_lp(), "scipy").engine == "scipy"
-
-    @needs_highs
-    def test_highs_spec(self):
-        with make_session(simple_lp(), "highs") as session:
-            assert session.engine == "highspy"
-            assert session.supports_basis
-
-    def test_callable_spec(self):
-        marker = []
-
-        def build(form):
-            session = ScipySession(form)
-            marker.append(session)
-            return session
-
-        assert make_session(simple_lp(), build) is marker[0]
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError):
-            make_session(simple_lp(), "cplex")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_SESSION", "scipy")
-        assert default_session_spec() == "scipy"
-        monkeypatch.setenv("REPRO_LP_SESSION", "nonsense")
-        assert default_session_spec() in ("scipy", "highs")
+class TestMakeSession:
+    def test_platform_picks_the_engine(self, monkeypatch):
+        expected = HighspySession if HAVE_HIGHS_BINDINGS else ScipySession
+        with make_session(simple_lp()) as session:
+            assert type(session) is expected
+        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", False)
+        with make_session(simple_lp()) as session:
+            assert type(session) is ScipySession
 
 
 class TestReducedCostFixing:
@@ -212,175 +207,78 @@ class TestReducedCostFixing:
 
 
 class TestNodeCacheParity:
-    @pytest.mark.parametrize("session_spec", ["scipy", "auto"])
-    def test_same_tree_with_and_without_cache(self, session_spec):
+    @pytest.mark.parametrize("engine", ["scipy", "auto"])
+    def test_same_tree_with_and_without_cache(self, engine, monkeypatch):
+        pick_engine(monkeypatch, engine)
         model = knapsack(7)
-        cached = BranchAndBoundSolver(
-            lp_session=session_spec, node_lp_cache=True
-        ).solve(model)
-        uncached = BranchAndBoundSolver(
-            lp_session=session_spec, node_lp_cache=False
-        ).solve(model)
+        cached = BranchAndBoundSolver(node_lp_cache=True).solve(model)
+        uncached = BranchAndBoundSolver(node_lp_cache=False).solve(model)
         assert cached.objective == pytest.approx(uncached.objective)
         assert cached.node_count == uncached.node_count
         assert cached.status == uncached.status
 
-    def test_engines_agree_on_milp(self):
+    @needs_highs
+    def test_engines_agree_on_milp(self, monkeypatch):
         model = knapsack(7)
-        scipy_res = BranchAndBoundSolver(lp_session="scipy").solve(model)
-        auto_res = BranchAndBoundSolver(lp_session="auto").solve(model)
-        assert scipy_res.objective == pytest.approx(auto_res.objective)
-        assert scipy_res.status == auto_res.status
+        pick_engine(monkeypatch, "highs")
+        highs_res = BranchAndBoundSolver().solve(model)
+        pick_engine(monkeypatch, "scipy")
+        scipy_res = BranchAndBoundSolver().solve(model)
+        assert scipy_res.objective == pytest.approx(highs_res.objective)
+        assert scipy_res.status == highs_res.status
 
 
-def cut_prone_form():
-    """max x1+x2+x3 s.t. 2x1+2x2+2x3 <= 5 over binaries.
+class TestCutAndBranch:
+    def test_cut_rounds_reopen_the_session(self):
+        """max x1+x2+x3 s.t. 2x1+2x2+2x3 <= 5 over binaries.
 
-    The LP optimum (1, 1, 0.5) violates the cover cut
-    ``x1 + x2 + x3 <= 2``, so cover separation always finds work here.
-    """
-    m = Model()
-    xs = [m.binary_var(f"x{i}") for i in range(3)]
-    m.add_constr(quicksum(2 * x for x in xs) <= 5)
-    m.set_objective(quicksum(xs), ObjectiveSense.MAXIMIZE)
-    return m.to_standard_form()
-
-
-def form_with_cuts(form):
-    from repro.mip.bnb.cover_cuts import (
-        extend_form_with_cuts,
-        separate_cover_cuts,
-    )
-
-    session = ScipySession(form)
-    root = session.solve(form.lb.copy(), form.ub.copy())
-    cuts = separate_cover_cuts(form, root.x)
-    assert cuts, "the cut-prone instance must admit a violated cover cut"
-    extended = extend_form_with_cuts(form, cuts)
-    session.close()
-    return extended
-
-
-class TestFormExtends:
-    def test_appended_block_satisfies_the_contract(self):
-        form = cut_prone_form()
-        extended = form_with_cuts(form)
-        assert extended.num_constraints > form.num_constraints
-        assert form_extends(form, extended)
-        assert form_extends(form, form)
-
-    def test_shrunk_or_reordered_forms_are_rejected(self):
-        form = cut_prone_form()
-        extended = form_with_cuts(form)
-        # extension is one-directional
-        assert not form_extends(extended, form)
-
-    def test_modified_prefix_is_rejected(self):
-        form = cut_prone_form()
-        extended = form_with_cuts(form)
-        tampered = StandardForm(
-            c=extended.c,
-            c0=extended.c0,
-            A=extended.A.copy(),
-            row_lb=extended.row_lb,
-            row_ub=extended.row_ub,
-            lb=extended.lb,
-            ub=extended.ub,
-            integrality=extended.integrality,
-            sense_sign=extended.sense_sign,
-            variables=extended.variables,
-            constraint_names=extended.constraint_names,
-        )
-        tampered.A.data[0] += 1.0
-        assert not form_extends(form, tampered)
-
-    def test_changed_objective_is_rejected(self):
-        form = cut_prone_form()
-        extended = form_with_cuts(form)
-        changed = StandardForm(
-            c=extended.c.copy(),
-            c0=extended.c0,
-            A=extended.A,
-            row_lb=extended.row_lb,
-            row_ub=extended.row_ub,
-            lb=extended.lb,
-            ub=extended.ub,
-            integrality=extended.integrality,
-            sense_sign=extended.sense_sign,
-            variables=extended.variables,
-            constraint_names=extended.constraint_names,
-        )
-        changed.c[0] += 1.0
-        assert not form_extends(form, changed)
-
-
-class TestLoadAppended:
-    def assert_absorbs_cut_rows(self, session_cls):
-        form = cut_prone_form()
-        extended = form_with_cuts(form)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            session = session_cls(form)
-            before = session.solve(form.lb.copy(), form.ub.copy())
-            assert form.user_objective(before.x) == pytest.approx(2.5)
-            assert session.load_appended(extended)
-            after = session.solve(extended.lb.copy(), extended.ub.copy())
-        # the cover cut tightens the LP bound from 2.5 to the true 2.0
-        assert extended.user_objective(after.x) == pytest.approx(2.0)
-        assert registry.counter("solver.lp_appends") == 1
-        # cross-check against a cold session on the extended form
-        fresh = session_cls(extended)
-        cold = fresh.solve(extended.lb.copy(), extended.ub.copy())
-        assert cold.internal_obj == pytest.approx(after.internal_obj)
-        session.close()
-        fresh.close()
-
-    def test_scipy_absorbs_cut_rows(self):
-        self.assert_absorbs_cut_rows(ScipySession)
-
-    @needs_highs
-    def test_highs_absorbs_cut_rows(self):
-        self.assert_absorbs_cut_rows(HighspySession)
-
-    def test_unrelated_form_is_refused(self):
-        form = cut_prone_form()
-        other = simple_lp()
-        session = ScipySession(form)
-        assert not session.load_appended(other)
-        session.close()
-
-    @needs_highs
-    def test_highs_refuses_column_growth(self):
-        form = cut_prone_form()
-        grown = form_with_cuts(form)
-        m = Model()
-        xs = [m.binary_var(f"x{i}") for i in range(3)]
-        m.add_constr(quicksum(2 * x for x in xs) <= 5)
-        m.set_objective(quicksum(xs), ObjectiveSense.MAXIMIZE)
-        mark = m.mark()
-        m.continuous_var("slacky", lb=0.0, ub=1.0)
-        with_col = form.append_block(m.extend(mark))
-        assert form_extends(form, with_col)
-        session = HighspySession(form)
-        assert not session.load_appended(with_col)
-        session.close()
-        # rows-only growth is absorbed (checked in the cut test above);
-        # scipy has no in-memory model, so it takes column growth too
-        scipy_session = ScipySession(form)
-        assert scipy_session.load_appended(with_col)
-        scipy_session.close()
-        del grown
-
-    def test_cut_rounds_reuse_the_session(self):
-        """End-to-end: cut-and-branch absorbs cut rows via addRows."""
+        The LP optimum (1, 1, 0.5) violates the cover cut
+        ``x1 + x2 + x3 <= 2``; the cut round reloads the strengthened
+        form into a fresh session and the search proves 2.0.
+        """
         m = Model()
         xs = [m.binary_var(f"x{i}") for i in range(3)]
         m.add_constr(quicksum(2 * x for x in xs) <= 5)
         m.set_objective(quicksum(xs), ObjectiveSense.MAXIMIZE)
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = BranchAndBoundSolver(
-                cover_cuts=True, lp_session="scipy"
-            ).solve(m)
+            solver = BranchAndBoundSolver(cover_cuts=True)
+            result = solver.solve(m)
         assert result.objective == pytest.approx(2.0)
-        assert registry.counter("solver.lp_appends") >= 1
+        assert registry.counter("solver.cuts_added") >= 1
+
+
+@pytest.fixture(scope="module")
+def csigma_gate_model():
+    """The fixed cSigma instance of the engine gates (seed 0, 6 requests)."""
+    scenario = small_scenario(0, num_requests=6).with_flexibility(1.0)
+    model = CSigmaModel(
+        scenario.substrate,
+        scenario.requests,
+        fixed_mappings=scenario.node_mappings,
+        options=ModelOptions(),
+    ).model
+    reference = solve_model(model, backend="highs")
+    return model, reference.objective
+
+
+class TestEngineGates:
+    @pytest.mark.parametrize("engine", ["scipy", "highs"])
+    def test_deterministic_and_agrees_with_highs_backend(
+        self, engine, monkeypatch, csigma_gate_model
+    ):
+        pick_engine(monkeypatch, engine)
+        model, reference_objective = csigma_gate_model
+        runs = []
+        for _ in range(2):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                result = BranchAndBoundSolver().solve(model)
+            lp_solves = registry.counter("solver.lp_hot_starts") + registry.counter(
+                "solver.lp_cold_starts"
+            )
+            runs.append(
+                (result.status, result.objective, result.node_count, lp_solves)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1] == pytest.approx(reference_objective, rel=1e-9, abs=1e-6)
