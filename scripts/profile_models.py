@@ -8,10 +8,6 @@ functions, so regressions in the modeling layer (expression churn,
 matrix assembly) show up as data instead of vibes:
 
 * ``BUILD``   — constructing the model object: variables, rows, cuts.
-  ``--formulation`` switches between the batched ``columnar`` emitter
-  and the ``legacy`` ``LinExpr`` path, so the two assembly strategies
-  can be compared on identical instances (they produce byte-identical
-  standard forms; only this phase's cost differs).
 * ``COMPILE`` — ``to_standard_form()``: flushing emitted blocks into
   the canonical CSR matrices the backends consume.
 * ``SOLVE``   — the backend solve.
@@ -26,7 +22,7 @@ Usage::
 
     python scripts/profile_models.py                       # csigma, small
     python scripts/profile_models.py --model delta --scale paper
-    python scripts/profile_models.py --formulation legacy --phases build,compile
+    python scripts/profile_models.py --phases build,compile
     python scripts/profile_models.py --sort tottime --top 30
 """
 
@@ -36,7 +32,6 @@ import argparse
 import cProfile
 import pstats
 import sys
-from dataclasses import replace
 from io import StringIO
 
 from repro.evaluation.runner import MODEL_REGISTRY
@@ -54,9 +49,6 @@ _DEFAULT_OPTIONS = {
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", choices=sorted(MODEL_REGISTRY), default="csigma")
-    parser.add_argument("--formulation", choices=["columnar", "legacy"],
-                        default="columnar",
-                        help="constraint assembly strategy for the BUILD phase")
     parser.add_argument("--scale", choices=["small", "paper"], default="small")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--flexibility", type=float, default=1.0)
@@ -79,9 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = small_scenario(args.seed, num_requests=args.num_requests)
     scenario = scenario.with_flexibility(args.flexibility)
     model_cls = MODEL_REGISTRY[args.model]
-    options = replace(
-        _DEFAULT_OPTIONS[args.model](), formulation=args.formulation
-    )
+    options = _DEFAULT_OPTIONS[args.model]()
 
     # -- build phase -----------------------------------------------------
     build_profile = cProfile.Profile()
@@ -108,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         solution = model.solve(time_limit=args.time_limit)
         solve_profile.disable()
 
-    print(f"instance: {scenario.label}, model: {args.model}, "
-          f"formulation: {args.formulation}")
+    print(f"instance: {scenario.label}, model: {args.model}")
     print(f"model stats: {model.stats()}")
     print(f"standard form: {form.num_vars} vars x "
           f"{form.num_constraints} constraints, {form.A.nnz} nonzeros")

@@ -1,13 +1,15 @@
 """Columnar constraint emission: batched COO assembly without ``LinExpr``.
 
-The legacy modeling path builds every constraint as a :class:`LinExpr`
-dictionary plus a :class:`Constraint` object — readable, but each term
+The generic modeling path (:meth:`~repro.mip.model.Model.add_constr`)
+builds every constraint as a :class:`LinExpr` dictionary plus a
+:class:`Constraint` object — readable, but each term
 costs a dict insert and each row two Python objects.  The TVNEP
 formulations emit *hundreds of thousands* of terms whose coefficients
 are already known as flat arrays (flow conservation, capacity folds,
 event-prefix cuts), so the dict algebra is pure overhead there.
 
-This module provides the columnar fast path:
+This module provides the batched path every TVNEP model emits those
+families through:
 
 :class:`ColumnarEmitter`
     Accumulates rows as raw COO triplets — ``add_terms(rows, cols,
@@ -20,14 +22,15 @@ This module provides the columnar fast path:
 :class:`RowBlock`
     An immutable block of compiled constraint rows (local CSR parts +
     row bounds + names) living in the model's row-chunk list alongside
-    legacy :class:`~repro.mip.constraint.Constraint` objects.  Blocks
+    :class:`~repro.mip.constraint.Constraint` objects.  Blocks
     can lazily re-materialize Constraints for diagnostics (the LP
     writer, ``check_assignment``).
 
-The differential tests in ``tests/tvnep/test_columnar_formulation.py``
-prove that the columnar and legacy paths compile to *identical*
-standard forms, so the legacy path remains the readable executable
-specification and the columnar path is "just" faster.
+``docs/formulations.md`` is the readable specification of the rows;
+``tests/mip/test_columnar.py`` checks that an emitted block compiles to
+the same arrays as the equal rows added through ``add_constr``, and
+``tests/tvnep/test_golden_forms.py`` pins the standard forms the
+models compile to.
 """
 
 from __future__ import annotations

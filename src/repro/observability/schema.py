@@ -34,7 +34,6 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
     "model_build": {
         "required": {
             "model": "str",
-            "formulation": "str",
             "num_vars": "int",
             "num_constraints": "int",
             "columnar_nnz": "int",

@@ -36,11 +36,7 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import current_trace
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
-from repro.temporal.dependency import (
-    DepNode,
-    PointKind,
-    TemporalDependencyGraph,
-)
+from repro.temporal.dependency import PointKind, TemporalDependencyGraph
 from repro.temporal.events import EventSpace
 from repro.tvnep.solution import ScheduledRequest, TemporalSolution
 from repro.vnep.embedding_vars import EmbeddingVariables, NodeMapping
@@ -73,14 +69,6 @@ class ModelOptions:
         :class:`~repro.temporal.dependency.TemporalDependencyGraph`).
     time_horizon:
         ``T``; defaults to the maximum ``t^e`` over all requests.
-    formulation:
-        ``"columnar"`` (default) emits the hot constraint families
-        through the batched :class:`~repro.mip.columnar.ColumnarEmitter`
-        fast path; ``"legacy"`` builds every row through the
-        ``LinExpr`` dict algebra.  Both compile to byte-identical
-        standard forms (``tests/tvnep/test_columnar_formulation.py``),
-        so the legacy path remains the readable executable
-        specification.
     """
 
     use_dependency_cuts: bool = True
@@ -89,7 +77,6 @@ class ModelOptions:
     use_state_reduction: bool = True
     include_intra_request_edges: bool = True
     time_horizon: float | None = None
-    formulation: str = "columnar"
 
     @classmethod
     def plain(cls) -> "ModelOptions":
@@ -159,12 +146,6 @@ class TemporalModelBase:
         self.substrate = substrate
         self.requests = list(requests)
         self.options = options or ModelOptions()
-        if self.options.formulation not in ("columnar", "legacy"):
-            raise ValidationError(
-                f"unknown formulation {self.options.formulation!r} "
-                "(expected 'columnar' or 'legacy')"
-            )
-        self._columnar = self.options.formulation == "columnar"
         self.model = Model(self.formulation_name)
 
         horizon = self.options.time_horizon
@@ -202,7 +183,6 @@ class TemporalModelBase:
             force_embedded=request.name in self._force_embedded,
             force_rejected=request.name in self._force_rejected,
             build_link_flows=self.build_static_link_flows,
-            columnar=self._columnar,
         )
 
     def _build_temporal(self) -> None:
@@ -247,7 +227,6 @@ class TemporalModelBase:
         trace.emit(
             "model_build",
             model=self.formulation_name,
-            formulation=self.options.formulation,
             num_vars=self.model.num_vars,
             num_constraints=self.model.num_constraints,
             columnar_nnz=self.model.columnar_nnz,
@@ -299,7 +278,8 @@ class TemporalModelBase:
         self.chi_end: dict[tuple[str, int], Variable] = {}
         # each request's chi variables are created contiguously over its
         # admissible range, so a prefix/suffix sum is a column *slice*;
-        # the columnar emitters exploit this via the base indices below
+        # every event-indexed row is emitted from these slices via the
+        # base indices below
         self._chi_start_base: dict[str, int] = {}
         self._chi_end_base: dict[str, int] = {}
         for request in self.requests:
@@ -313,7 +293,7 @@ class TemporalModelBase:
                 self.chi_end[(name, i)] = var
                 self._chi_end_base.setdefault(name, var.index)
 
-    # -- columnar prefix/suffix column helpers -------------------------
+    # -- prefix/suffix column slices --------------------------------------
     def _prefix_cols(self, name: str, kind: PointKind, event_index: int) -> range:
         """Column indices of ``sum_{j <= i} chi`` over the admissible range."""
         r = self.event_range(name, kind)
@@ -337,52 +317,9 @@ class TemporalModelBase:
         return range(base + (lo - r.start), base + len(r))
 
     def _build_event_assignment_constraints(self) -> None:
-        if self._columnar:
-            self._build_event_assignment_constraints_columnar()
-            return
-        # each point maps to exactly one admissible event
-        for request in self.requests:
-            name = request.name
-            self.model.add_constr(
-                quicksum(
-                    self.chi_start[(name, i)]
-                    for i in self.event_range(name, PointKind.START)
-                )
-                == 1,
-                name=f"assign+[{name}]",
-            )
-            self.model.add_constr(
-                quicksum(
-                    self.chi_end[(name, i)]
-                    for i in self.event_range(name, PointKind.END)
-                )
-                == 1,
-                name=f"assign-[{name}]",
-            )
-        # event-capacity side
-        if self.layout == "compact":
-            # Table XI (12): each of e_1..e_|R| hosts exactly one start
-            for i in self.events.start_events:
-                hosted = quicksum(
-                    self.chi_start[(r.name, i)]
-                    for r in self.requests
-                    if (r.name, i) in self.chi_start
-                )
-                self.model.add_constr(hosted == 1, name=f"event+[e{i}]")
-        else:
-            # full layout: starts and ends jointly bijective onto events
-            for i in self.events.events:
-                hosted = LinExpr()
-                for r in self.requests:
-                    var = self.chi_start.get((r.name, i))
-                    if var is not None:
-                        hosted.add_term(var, 1.0)
-                    var = self.chi_end.get((r.name, i))
-                    if var is not None:
-                        hosted.add_term(var, 1.0)
-                self.model.add_constr(hosted == 1, name=f"event[e{i}]")
-
-    def _build_event_assignment_constraints_columnar(self) -> None:
+        """Each point maps to one admissible event; each event hosts one
+        start (compact layout, Table XI (12)) or one start or end (full
+        layout, bijective)."""
         em = self.model.columnar_emitter()
         for request in self.requests:
             name = request.name
@@ -417,7 +354,7 @@ class TemporalModelBase:
                 em.add_row_terms(row, cols, [1.0] * len(cols))
         em.flush()
 
-    # -- prefix helpers ---------------------------------------------------
+    # -- prefix expressions (for rows built outside the emitter) ----------
     def start_prefix(self, request_name: str, event_index: int) -> LinExpr:
         """``sum_{j <= i} chi^+(e_j)`` over the admissible range."""
         expr = LinExpr()
@@ -434,22 +371,6 @@ class TemporalModelBase:
                 expr.add_term(self.chi_end[(request_name, i)], 1.0)
         return expr
 
-    def start_suffix(self, request_name: str, event_index: int) -> LinExpr:
-        """``sum_{j >= i} chi^+(e_j)`` over the admissible range."""
-        expr = LinExpr()
-        for i in self.event_range(request_name, PointKind.START):
-            if i >= event_index:
-                expr.add_term(self.chi_start[(request_name, i)], 1.0)
-        return expr
-
-    def end_suffix(self, request_name: str, event_index: int) -> LinExpr:
-        """``sum_{j >= i} chi^-(e_j)`` over the admissible range."""
-        expr = LinExpr()
-        for i in self.event_range(request_name, PointKind.END):
-            if i >= event_index:
-                expr.add_term(self.chi_end[(request_name, i)], 1.0)
-        return expr
-
     def activity_expr(self, request_name: str, state_index: int) -> LinExpr:
         """``Sigma(R, s_i)`` — 1 iff started by ``e_i`` and not yet ended."""
         return self.start_prefix(request_name, state_index) - self.end_prefix(
@@ -461,32 +382,22 @@ class TemporalModelBase:
     # ==================================================================
     def _build_ordering_cuts(self) -> None:
         """Start-before-end prefix cuts (valid for every integral solution)."""
-        if self._columnar:
-            em = self.model.columnar_emitter()
-            for request in self.requests:
-                name = request.name
-                for i in self.event_range(name, PointKind.END):
-                    end_cols = self._prefix_cols(name, PointKind.END, i)
-                    if not end_cols:
-                        continue
-                    row = em.add_row(f"order[{name}][e{i}]", Sense.LE, 0.0)
-                    em.add_row_terms(row, end_cols, [1.0] * len(end_cols))
-                    start_cols = self._prefix_cols(name, PointKind.START, i - 1)
-                    em.add_row_terms(row, start_cols, [-1.0] * len(start_cols))
-            em.flush()
-            return
+        em = self.model.columnar_emitter()
         for request in self.requests:
             name = request.name
             for i in self.event_range(name, PointKind.END):
-                lhs = self.end_prefix(name, i)
-                rhs = self.start_prefix(name, i - 1)
-                if not lhs.terms:
+                end_cols = self._prefix_cols(name, PointKind.END, i)
+                if not end_cols:
                     continue
-                self.model.add_constr(lhs <= rhs, name=f"order[{name}][e{i}]")
+                row = em.add_row(f"order[{name}][e{i}]", Sense.LE, 0.0)
+                em.add_row_terms(row, end_cols, [1.0] * len(end_cols))
+                start_cols = self._prefix_cols(name, PointKind.START, i - 1)
+                em.add_row_terms(row, start_cols, [-1.0] * len(start_cols))
+        em.flush()
 
     def _build_pairwise_cuts(self) -> None:
         """Constraint (20): precedence distances between dependent points."""
-        em = self.model.columnar_emitter() if self._columnar else None
+        em = self.model.columnar_emitter()
         for v in self.dep_graph.nodes:
             for w in self.dep_graph.nodes:
                 if v is w or not self.dep_graph.reaches(v, w):
@@ -501,29 +412,14 @@ class TemporalModelBase:
                     # satisfied when v is certainly assigned by i - d
                     if i - d >= v_range.stop - 1:
                         continue
-                    if em is not None:
-                        w_cols = self._prefix_cols(w.request, w.kind, i)
-                        if not w_cols:
-                            continue
-                        row = em.add_row(f"prec[{v}][{w}][e{i}]", Sense.LE, 0.0)
-                        em.add_row_terms(row, w_cols, [1.0] * len(w_cols))
-                        v_cols = self._prefix_cols(v.request, v.kind, i - d)
-                        em.add_row_terms(row, v_cols, [-1.0] * len(v_cols))
+                    w_cols = self._prefix_cols(w.request, w.kind, i)
+                    if not w_cols:
                         continue
-                    lhs = self._point_prefix(w, i)
-                    rhs = self._point_prefix(v, i - d)
-                    if not lhs.terms:
-                        continue
-                    self.model.add_constr(
-                        lhs <= rhs, name=f"prec[{v}][{w}][e{i}]"
-                    )
-        if em is not None:
-            em.flush()
-
-    def _point_prefix(self, node: DepNode, event_index: int) -> LinExpr:
-        if node.is_start:
-            return self.start_prefix(node.request, event_index)
-        return self.end_prefix(node.request, event_index)
+                    row = em.add_row(f"prec[{v}][{w}][e{i}]", Sense.LE, 0.0)
+                    em.add_row_terms(row, w_cols, [1.0] * len(w_cols))
+                    v_cols = self._prefix_cols(v.request, v.kind, i - d)
+                    em.add_row_terms(row, v_cols, [-1.0] * len(v_cols))
+        em.flush()
 
     # ==================================================================
     # time coupling (Table XIII)
@@ -558,74 +454,19 @@ class TemporalModelBase:
             )
 
     def _build_time_coupling(self) -> None:
-        if self._columnar:
-            self._build_time_coupling_columnar()
-            return
-        # Constraint (13): weakly monotone event times
-        for i in self.events.events:
-            if i + 1 in self.t_event:
-                self.model.add_constr(
-                    self.t_event[i] <= self.t_event[i + 1], name=f"mono[e{i}]"
-                )
-        T = self.T
-        for request in self.requests:
-            name = request.name
-            start_range = self.event_range(name, PointKind.START)
-            # (14)/(15): t+ pinned to its event's time
-            for i in start_range:
-                prefix = self.start_prefix(name, i)
-                self.model.add_constr(
-                    self.t_start[name]
-                    <= self.t_event[i] + (1 - prefix) * T,
-                    name=f"t+ub[{name}][e{i}]",
-                )
-                suffix = self.start_suffix(name, i)
-                self.model.add_constr(
-                    self.t_start[name]
-                    >= self.t_event[i] - (1 - suffix) * T,
-                    name=f"t+lb[{name}][e{i}]",
-                )
-            end_range = self.event_range(name, PointKind.END)
-            if self.layout == "compact":
-                # (16)/(17): end lies within [t_{e_{i-1}}, t_{e_i}]
-                for i in end_range:
-                    prefix = self.end_prefix(name, i)
-                    self.model.add_constr(
-                        self.t_end[name]
-                        <= self.t_event[i] + (1 - prefix) * T,
-                        name=f"t-ub[{name}][e{i}]",
-                    )
-                    suffix = self.end_suffix(name, i)
-                    self.model.add_constr(
-                        self.t_end[name]
-                        >= self.t_event[i - 1] - (1 - suffix) * T,
-                        name=f"t-lb[{name}][e{i}]",
-                    )
-            else:
-                # full layout: ends are exact event points
-                for i in end_range:
-                    prefix = self.end_prefix(name, i)
-                    self.model.add_constr(
-                        self.t_end[name]
-                        <= self.t_event[i] + (1 - prefix) * T,
-                        name=f"t-ub[{name}][e{i}]",
-                    )
-                    suffix = self.end_suffix(name, i)
-                    self.model.add_constr(
-                        self.t_end[name]
-                        >= self.t_event[i] - (1 - suffix) * T,
-                        name=f"t-lb[{name}][e{i}]",
-                    )
+        """Table XIII: monotone event times (13) and the big-M pinning of
+        request start/end times to their events (14)-(17).
 
-    def _build_time_coupling_columnar(self) -> None:
-        """Columnar emission of Table XIII; rows mirror the legacy path.
-
-        ``t <= t_event + (1 - prefix) * T`` normalizes to
-        ``t - t_event + T * prefix <= T`` and its ``>=`` twin to
-        ``t - t_event - T * suffix >= -T`` — the exact rows the dict
-        algebra produces via :meth:`Constraint.from_sides`.
+        ``t <= t_event + (1 - prefix) * T`` is emitted in the normal form
+        ``t - t_event + T * prefix <= T`` and its ``>=`` twin
+        ``t >= t_event - (1 - suffix) * T`` as
+        ``t - t_event - T * suffix >= -T`` — the rows
+        :meth:`Constraint.from_sides` would produce.  In the compact
+        layout an end lies within ``[t_{e_{i-1}}, t_{e_i}]``; in the
+        full layout ends are exact event points.
         """
         em = self.model.columnar_emitter()
+        # Constraint (13): weakly monotone event times
         for i in self.events.events:
             if i + 1 in self.t_event:
                 row = em.add_row(f"mono[e{i}]", Sense.LE, 0.0)

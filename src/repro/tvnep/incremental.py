@@ -90,12 +90,6 @@ class IncrementalCSigmaModel(CSigmaModel):
         self.substrate = substrate
         self.requests: list[Request] = []
         self.options = options or ModelOptions()
-        if self.options.formulation not in ("columnar", "legacy"):
-            raise ValidationError(
-                f"unknown formulation {self.options.formulation!r} "
-                "(expected 'columnar' or 'legacy')"
-            )
-        self._columnar = self.options.formulation == "columnar"
         self.model = Model(self.formulation_name)
         if horizon is None:
             horizon = self.options.time_horizon

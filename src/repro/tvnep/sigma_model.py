@@ -28,6 +28,7 @@ from repro.mip.constraint import Sense
 from repro.mip.expr import LinExpr, Variable
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
+from repro.temporal.dependency import PointKind
 from repro.tvnep.base import ActivityStatus, ModelOptions, TemporalModelBase
 from repro.vnep.embedding_vars import NodeMapping
 
@@ -35,10 +36,10 @@ __all__ = ["ExplicitStateMixin", "SigmaModel"]
 
 
 class _LazyUsageMap(dict):
-    """``state_usage`` backed by columnar (cols, coefs) entries.
+    """``state_usage`` backed by (cols, coefs) entries.
 
     The load-balancing objective is the only consumer of the per-state
-    usage expressions, so the columnar state builder records raw column
+    usage expressions, so the state builder records raw column
     entries and this map materializes a :class:`LinExpr` only when a
     key is actually read (``get``/``[]``/``in``).  Unread entries never
     pay the dict-assembly cost.
@@ -91,80 +92,22 @@ class ExplicitStateMixin:
     """
 
     def _build_states(self) -> None:
-        if self._columnar:
-            self._build_states_columnar()
-            return
+        """Emit Constraints (7)-(9), state by state, resource by resource.
+
+        Allocation terms are precomputed once per (request, resource) as
+        column/coefficient lists (:meth:`EmbeddingVariables.alloc_profile`)
+        and spliced into each state's rows.  The activity status depends
+        only on (request, state), so it is resolved once per state and
+        shared by all resources.
+        """
         model = self.model
         substrate = self.substrate
         #: ``a_R`` variables keyed by (request name, state, resource)
         self.state_alloc: dict[tuple[str, int, object], Variable] = {}
+        usage_entries: dict[tuple[int, object], tuple[list[int], list[float]]] = {}
         #: total usage expression per (state, resource) — consumed by the
         #: load-balancing objective (Sec. IV-E.3)
-        self.state_usage: dict[tuple[int, object], LinExpr] = {}
-
-        # cache each request's allocation expression per resource
-        alloc_cache: dict[tuple[str, object], LinExpr] = {}
-        for request in self.requests:
-            emb = self.embeddings[request.name]
-            for resource in substrate.resources:
-                expr = emb.alloc(resource)
-                if expr.terms:
-                    alloc_cache[(request.name, resource)] = expr
-
-        for state in self.events.states:
-            for resource in substrate.resources:
-                capacity = substrate.capacity(resource)
-                usage = LinExpr()
-                relevant = False
-                for request in self.requests:
-                    name = request.name
-                    alloc = alloc_cache.get((name, resource))
-                    if alloc is None:
-                        continue
-                    status = self.activity_status(name, state)
-                    if status == ActivityStatus.INACTIVE:
-                        continue
-                    relevant = True
-                    if status == ActivityStatus.ACTIVE:
-                        usage.add_expr(alloc)
-                        continue
-                    # UNDECIDED: full Constraint (7)/(8) gadget
-                    a = model.continuous_var(
-                        f"a[{name}][s{state}][{resource}]", lb=0.0
-                    )
-                    self.state_alloc[(name, state, resource)] = a
-                    big_m = self.embeddings[name].alloc_upper_bound(resource)
-                    activity = self.activity_expr(name, state)
-                    model.add_constr(
-                        a >= alloc - (1 - activity) * big_m,
-                        name=f"stateLB[{name}][s{state}][{resource}]",
-                    )
-                    usage.add_term(a, 1.0)
-                if relevant:
-                    self.state_usage[(state, resource)] = usage
-                    # Constraint (9)
-                    model.add_constr(
-                        usage <= capacity,
-                        name=f"cap[s{state}][{resource}]",
-                    )
-
-    def _build_states_columnar(self) -> None:
-        """Columnar emission of Constraints (7)-(9).
-
-        Same row sequence as the legacy loop above; allocation terms are
-        precomputed once per (request, resource) as column/coefficient
-        lists and spliced into each state's rows instead of re-walking
-        ``LinExpr`` dicts per state.  The activity status depends only
-        on (request, state), so it is resolved once per state and shared
-        by all resources rather than re-queried in the innermost loop.
-        """
-        model = self.model
-        substrate = self.substrate
-        self.state_alloc: dict[tuple[str, int, object], Variable] = {}
-        usage_entries: dict[tuple[int, object], tuple[list[int], list[float]]] = {}
         self.state_usage = _LazyUsageMap(model, usage_entries)
-
-        from repro.temporal.dependency import PointKind
 
         em = model.columnar_emitter()
         # allocation entries grouped per resource, request order preserved:

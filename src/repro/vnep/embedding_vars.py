@@ -24,7 +24,7 @@ from collections.abc import Hashable, Mapping
 
 from repro.exceptions import ModelingError
 from repro.mip.constraint import Sense
-from repro.mip.expr import LinExpr, quicksum
+from repro.mip.expr import LinExpr
 from repro.mip.model import Model
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
@@ -61,11 +61,9 @@ class EmbeddingVariables:
         builds its own per-state flows instead
         (:mod:`repro.tvnep.rerouting`); with it off, ``alloc_link``
         returns the empty expression.
-    columnar:
-        Emit the mapping and flow constraints through the batched
-        :class:`~repro.mip.columnar.ColumnarEmitter` instead of the
-        ``LinExpr`` algebra.  The resulting rows are identical
-        (differentially tested); only the assembly cost differs.
+
+    The mapping and flow rows are emitted in one batch through the
+    model's :class:`~repro.mip.columnar.ColumnarEmitter`.
     """
 
     def __init__(
@@ -77,7 +75,6 @@ class EmbeddingVariables:
         force_embedded: bool = False,
         force_rejected: bool = False,
         build_link_flows: bool = True,
-        columnar: bool = False,
     ) -> None:
         if force_embedded and force_rejected:
             raise ModelingError(
@@ -121,28 +118,17 @@ class EmbeddingVariables:
                 self.x_node[(v, s)] = model.binary_var(f"xV[{name}][{v}->{s}]")
 
         # Constraint (1): sum_s x_V(v, s) = x_R
-        em = model.columnar_emitter() if columnar else None
-        if em is not None:
-            for v in vnet.nodes:
-                row = em.add_row(f"map[{name}][{v}]", Sense.EQ, 0.0)
-                cols = [
-                    var.index
-                    for s in substrate.nodes
-                    if (var := self.x_node.get((v, s))) is not None
-                ]
-                em.add_row_terms(row, cols, [1.0] * len(cols))
-                em.add_term(row, self.x_embed, -1.0)
-            em.flush()
-        else:
-            for v in vnet.nodes:
-                placements = quicksum(
-                    self.x_node[(v, s)]
-                    for s in substrate.nodes
-                    if (v, s) in self.x_node
-                )
-                model.add_constr(
-                    placements == self.x_embed, name=f"map[{name}][{v}]"
-                )
+        em = model.columnar_emitter()
+        for v in vnet.nodes:
+            row = em.add_row(f"map[{name}][{v}]", Sense.EQ, 0.0)
+            cols = [
+                var.index
+                for s in substrate.nodes
+                if (var := self.x_node.get((v, s))) is not None
+            ]
+            em.add_row_terms(row, cols, [1.0] * len(cols))
+            em.add_term(row, self.x_embed, -1.0)
+        em.flush()
 
         # x_E
         self.x_link: dict[tuple, object] = {}
@@ -154,31 +140,12 @@ class EmbeddingVariables:
                     f"xE[{name}][{lv}@{ls}]", lb=0.0, ub=1.0
                 )
 
-        # Constraint (2): per virtual link, per substrate node,
-        # outflow - inflow = x_V(head_placed_here) ... constructing a unit
-        # flow from the tail's host to the head's host.
-        if em is not None:
-            self._build_flow_constraints_columnar(em)
-            return
-        for lv in vnet.links:
-            tail, head = lv
-            for s in substrate.nodes:
-                outflow = quicksum(
-                    self.x_link[(lv, ls)] for ls in substrate.out_links(s)
-                )
-                inflow = quicksum(
-                    self.x_link[(lv, ls)] for ls in substrate.in_links(s)
-                )
-                balance = self._placement_expr(tail, s) - self._placement_expr(
-                    head, s
-                )
-                model.add_constr(
-                    outflow - inflow == balance,
-                    name=f"flow[{name}][{tail}->{head}][{s}]",
-                )
+        self._build_flow_constraints(em)
 
-    def _build_flow_constraints_columnar(self, em) -> None:
-        """Batched emission of the flow-conservation rows.
+    def _build_flow_constraints(self, em) -> None:
+        """Constraint (2): per virtual link and substrate node,
+        ``outflow - inflow = x_V(tail, s) - x_V(head, s)`` — a unit flow
+        from the tail's host to the head's host.
 
         ``x_E`` variables were created ``for lv: for ls:``, so the
         column of ``(lv, ls)`` is ``base + lv_pos * |E_S| + ls_pos`` —
@@ -222,14 +189,6 @@ class EmbeddingVariables:
         em.flush()
 
     # ------------------------------------------------------------------
-    def _placement_expr(self, v: Hashable, s: Hashable) -> LinExpr:
-        """``x_V(v, s)`` as an expression (0 when inadmissible)."""
-        var = self.x_node.get((v, s))
-        if var is None:
-            return LinExpr()
-        return var.to_expr()
-
-    # ------------------------------------------------------------------
     # Table V macros
     # ------------------------------------------------------------------
     def alloc_node(self, s: Hashable) -> LinExpr:
@@ -263,7 +222,7 @@ class EmbeddingVariables:
     def alloc_entries(self, resource: Hashable) -> tuple[list[int], list[float]]:
         """``alloc(R, r)`` as parallel column/coefficient lists.
 
-        The columnar state builder consumes these directly; the values
+        The explicit-state builder consumes these directly; the values
         match :meth:`alloc` term for term (zero demands are dropped by
         both, via ``add_term``'s zero filter there and explicitly here).
         """

@@ -64,6 +64,7 @@ class TestModelIntrospection:
 
     def test_end_suffix_expression(self):
         from repro.network import SubstrateNetwork, VirtualNetwork, TemporalSpec, Request
+        from repro.temporal.dependency import PointKind
         from repro.tvnep import CSigmaModel, ModelOptions
 
         sub = SubstrateNetwork()
@@ -75,8 +76,8 @@ class TestModelIntrospection:
             reqs.append(Request(v, TemporalSpec(0, 10, 1)))
         model = CSigmaModel(sub, reqs, options=ModelOptions.plain())
         # compact ends live on e2..e3: suffix at 2 covers both, at 3 one
-        assert len(model.end_suffix("R0", 2)) == 2
-        assert len(model.end_suffix("R0", 3)) == 1
+        assert len(model._suffix_cols("R0", PointKind.END, 2)) == 2
+        assert len(model._suffix_cols("R0", PointKind.END, 3)) == 1
 
     def test_user_bound_conversion(self):
         m = Model()

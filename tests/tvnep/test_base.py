@@ -85,11 +85,63 @@ class TestEventLayouts:
         model = CSigmaModel(one_node(), reqs, options=ModelOptions.plain())
         assert len(model.start_prefix("A", 1)) == 1
         assert len(model.start_prefix("A", 2)) == 2
-        assert len(model.start_suffix("A", 2)) == 1
+        assert len(model._suffix_cols("A", PointKind.START, 2)) == 1
         assert len(model.end_prefix("A", 1)) == 0  # ends start at e2
         # activity = prefix+ - prefix-
         activity = model.activity_expr("A", 2)
         assert len(activity) == 3
+
+
+class TestPrefixSuffixCols:
+    """The column slices every event-indexed row is emitted from."""
+
+    @staticmethod
+    def compact_model():
+        # plain compact layout: starts on e1..e2, ends on e2..e3
+        reqs = [unit_request("A", 0, 10, 1), unit_request("B", 0, 10, 1)]
+        return CSigmaModel(one_node(), reqs, options=ModelOptions.plain())
+
+    @staticmethod
+    def chi_cols(model, name, kind, events):
+        table = model.chi_start if kind is PointKind.START else model.chi_end
+        return [table[(name, i)].index for i in events]
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    @pytest.mark.parametrize("kind", [PointKind.START, PointKind.END])
+    def test_index_below_the_range(self, name, kind):
+        model = self.compact_model()
+        events = model.event_range(name, kind)
+        below = events.start - 1
+        assert len(model._prefix_cols(name, kind, below)) == 0
+        assert list(model._suffix_cols(name, kind, below)) == self.chi_cols(
+            model, name, kind, events
+        )
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    @pytest.mark.parametrize("kind", [PointKind.START, PointKind.END])
+    def test_index_at_or_above_the_end(self, name, kind):
+        model = self.compact_model()
+        events = model.event_range(name, kind)
+        last = events.stop - 1
+        whole = self.chi_cols(model, name, kind, events)
+        for index in (last, last + 1, last + 5):
+            assert list(model._prefix_cols(name, kind, index)) == whole
+        assert list(model._suffix_cols(name, kind, last)) == whole[-1:]
+        assert len(model._suffix_cols(name, kind, last + 1)) == 0
+
+    def test_compact_end_range(self):
+        model = self.compact_model()
+        end = PointKind.END
+        assert model.event_range("B", end) == range(2, 4)
+        assert list(model._prefix_cols("B", end, 2)) == self.chi_cols(
+            model, "B", end, [2]
+        )
+        assert list(model._suffix_cols("B", end, 2)) == self.chi_cols(
+            model, "B", end, [2, 3]
+        )
+        assert list(model._suffix_cols("B", end, 3)) == self.chi_cols(
+            model, "B", end, [3]
+        )
 
 
 class TestExtraction:

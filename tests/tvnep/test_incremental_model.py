@@ -61,14 +61,11 @@ def star_instance(num_requests: int = 5):
 class TestScriptedIterationParity:
     """Replay a scripted greedy run; compare against fresh models."""
 
-    @pytest.mark.parametrize("formulation", ["columnar", "legacy"])
     @pytest.mark.parametrize("prefix", [0, 2])
-    def test_every_iteration_matches_a_fresh_model(self, formulation, prefix):
+    def test_every_iteration_matches_a_fresh_model(self, prefix):
         substrate, requests, mappings = star_instance()
         horizon = max(r.latest_end for r in requests)
-        options = replace(
-            ModelOptions(), formulation=formulation, time_horizon=horizon
-        )
+        options = replace(ModelOptions(), time_horizon=horizon)
         inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
 
         current: dict[str, Request] = {}
