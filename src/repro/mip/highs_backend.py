@@ -8,6 +8,10 @@ This is the default exact backend.  It solves:
 * LP relaxations (:func:`solve_relaxation`), used for the
   relaxation-strength ablation comparing the Delta-, Sigma- and
   cSigma-Models and inside the pure-Python branch-and-bound solver.
+
+Every ``milp`` call, a compiled model's or the array-native
+fixed-schedule LP of :mod:`repro.tvnep.fixed_schedule`, goes through
+the one array-level entry :func:`solve_arrays`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import time
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import SolverError
@@ -24,7 +29,7 @@ from repro.mip.model import Model, StandardForm
 from repro.mip.solution import Solution, SolveStatus
 from repro.observability import current_trace, get_registry
 
-__all__ = ["solve", "solve_relaxation", "HIGHS_NAME"]
+__all__ = ["solve", "solve_arrays", "solve_relaxation", "HIGHS_NAME"]
 
 HIGHS_NAME = "highs"
 
@@ -108,6 +113,57 @@ def solve_standard_form(
     presolve: bool = True,
 ) -> Solution:
     """Solve an already-compiled :class:`StandardForm` with HiGHS."""
+    solution = solve_arrays(
+        form.c,
+        form.A,
+        form.row_lb,
+        form.row_ub,
+        form.lb,
+        form.ub,
+        form.integrality,
+        c0=form.c0,
+        sense_sign=form.sense_sign,
+        time_limit=time_limit,
+        mip_gap=mip_gap,
+        node_limit=node_limit,
+        presolve=presolve,
+    )
+    if solution.x is not None:
+        solution.values = {
+            var: float(solution.x[i]) for i, var in enumerate(form.variables)
+        }
+    return solution
+
+
+def solve_arrays(
+    c: np.ndarray,
+    A: sp.csr_matrix,
+    row_lb: np.ndarray,
+    row_ub: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    integrality: np.ndarray | None = None,
+    *,
+    c0: float = 0.0,
+    sense_sign: float = 1.0,
+    time_limit: float | None = None,
+    mip_gap: float = 1e-6,
+    node_limit: int | None = None,
+    presolve: bool = True,
+) -> Solution:
+    """Solve ``min c @ x  s.t.  row_lb <= A @ x <= row_ub, lb <= x <= ub``.
+
+    The one place :func:`scipy.optimize.milp` is called.  The arrays
+    follow the :class:`StandardForm` conventions (``integrality``
+    defaults to all-continuous; ``c0`` and ``sense_sign`` map the
+    internal minimization back to the caller's objective).  The result
+    carries the incumbent as the column vector :attr:`Solution.x` and
+    leaves :attr:`Solution.values` empty: there are no
+    :class:`~repro.mip.expr.Variable` objects at this level.
+    """
+    num_vars = len(c)
+    if integrality is None:
+        integrality = np.zeros(num_vars, dtype=np.uint8)
     trace = current_trace()
     metrics = get_registry()
     metrics.inc("solver.solves")
@@ -115,27 +171,28 @@ def solve_standard_form(
         trace.emit(
             "solve_start",
             solver=HIGHS_NAME,
-            num_vars=form.num_vars,
-            num_constraints=form.num_constraints,
-            num_integral=int(np.count_nonzero(form.integrality)),
+            num_vars=num_vars,
+            num_constraints=A.shape[0],
+            num_integral=int(np.count_nonzero(integrality)),
         )
-    if form.num_vars == 0:
-        # a model without variables is trivially optimal (the modeling
-        # layer already rejected any violated constant constraint)
+    if num_vars == 0:
+        # a problem without variables is trivially optimal (callers
+        # emit no constant rows: the modeling layer rejects a violated
+        # one, the fixed-schedule LP rejects a stranded flow first)
         if trace is not None:
             trace.emit(
                 "solve_end",
                 solver=HIGHS_NAME,
                 status=SolveStatus.OPTIMAL.value,
                 nodes=0,
-                objective=form.c0,
-                bound=form.c0,
+                objective=c0,
+                bound=c0,
             )
         return Solution(
             status=SolveStatus.OPTIMAL,
-            objective=form.c0,
-            values={},
-            best_bound=form.c0,
+            objective=c0,
+            x=np.zeros(0),
+            best_bound=c0,
             solver=HIGHS_NAME,
             message="empty model",
         )
@@ -148,14 +205,14 @@ def solve_standard_form(
     if node_limit is not None:
         options["node_limit"] = int(node_limit)
 
-    constraints = _linear_constraints(form)
+    constraints = [LinearConstraint(A, row_lb, row_ub)] if A.shape[0] else []
     start = time.perf_counter()
     try:
         res = milp(
-            c=form.c,
+            c=c,
             constraints=constraints,
-            integrality=form.integrality,
-            bounds=Bounds(form.lb, form.ub),
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
             options=options,
         )
     except Exception as exc:  # pragma: no cover - defensive
@@ -163,18 +220,16 @@ def solve_standard_form(
     runtime = time.perf_counter() - start
 
     status = _interpret_status(res)
-    values: dict = {}
+    x = None
     objective = math.nan
     if res.x is not None:
-        x = np.asarray(res.x, dtype=float)
-        x = _snap_integrality(x, form)
-        values = {var: float(x[i]) for i, var in enumerate(form.variables)}
-        objective = form.user_objective(x)
+        x = _snap_integrality(np.asarray(res.x, dtype=float), integrality)
+        objective = sense_sign * float(c @ x) + c0
 
     best_bound = math.nan
     dual = getattr(res, "mip_dual_bound", None)
     if dual is not None and math.isfinite(dual):
-        best_bound = form.user_bound(float(dual))
+        best_bound = sense_sign * float(dual) + c0
     elif status is SolveStatus.OPTIMAL and res.x is not None:
         best_bound = objective
 
@@ -193,7 +248,7 @@ def solve_standard_form(
     return Solution(
         status=status,
         objective=objective,
-        values=values,
+        x=x,
         best_bound=best_bound,
         runtime=runtime,
         node_count=node_count,
@@ -231,7 +286,7 @@ def _relaxation_session(form: StandardForm):
     """The memoized per-form LP session used for relaxation solves.
 
     Repeated relaxation solves over one compiled form (the relaxation-
-    strength ablation, feasibility probes, the enumerative greedy) share
+    strength ablation, feasibility probes) share
     one :class:`~repro.mip.lp_engine.ScipySession`, so the (A_ub, A_eq)
     split and the bounds buffer are built once per form instead of once
     per call.  The scipy engine is used deliberately: it preserves the
@@ -294,12 +349,6 @@ def solve_relaxation_arrays(
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _linear_constraints(form: StandardForm) -> list[LinearConstraint]:
-    if form.num_constraints == 0:
-        return []
-    return [LinearConstraint(form.A, form.row_lb, form.row_ub)]
-
-
 def _interpret_status(res) -> SolveStatus:
     if res.status == _MILP_OPTIMAL:
         return SolveStatus.OPTIMAL
@@ -313,9 +362,9 @@ def _interpret_status(res) -> SolveStatus:
     return SolveStatus.FEASIBLE if res.x is not None else SolveStatus.ERROR
 
 
-def _snap_integrality(x: np.ndarray, form: StandardForm) -> np.ndarray:
+def _snap_integrality(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
     """Round integral columns that are within solver tolerance of integers."""
-    mask = form.integrality.astype(bool)
+    mask = integrality.astype(bool)
     if mask.any():
         snapped = np.round(x[mask])
         close = np.abs(x[mask] - snapped) <= 1e-5
@@ -336,8 +385,6 @@ def _lp_data(form: StandardForm):
     cached = getattr(form, "_lp_data_cache", None)
     if cached is not None:
         return cached
-
-    import scipy.sparse as sp
 
     eq = form.row_lb == form.row_ub
     ineq = ~eq

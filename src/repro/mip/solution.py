@@ -12,6 +12,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import SolverError
 from repro.mip.expr import LinExpr, Variable
 
@@ -88,6 +90,10 @@ class Solution:
         Name of the backend that produced the result.
     message:
         Free-form backend diagnostics.
+    x:
+        The incumbent as a column vector in standard-form column order
+        (``None`` when no incumbent exists or the backend works on
+        variables only); set by the HiGHS backend's array-level entry.
     rung:
         Which rung of a :class:`~repro.runtime.resilient.ResilientBackend`
         fallback chain produced the result (empty for direct solves);
@@ -103,6 +109,7 @@ class Solution:
     node_count: int = 0
     solver: str = ""
     message: str = ""
+    x: np.ndarray | None = field(default=None, repr=False)
     rung: str = ""
 
     @property

@@ -4,10 +4,19 @@ When every request's start/end time and node mapping are fixed, the
 TVNEP loses all its integer structure: the only remaining freedom is
 the splittable routing of virtual links, which is a pure LP —
 
-* flow-conservation rows per (request, virtual link, substrate node),
-* one capacity row per (critical interval, substrate resource), where
-  the critical intervals come from sweeping the fixed activity
-  intervals (Sec. III-A's event-point insight applied directly).
+* flow-conservation rows per (request, virtual link, substrate node):
+  the block ``kron(I_K, B)`` over the ``K`` (placement, virtual link)
+  pairs, with ``B`` the substrate's node-link incidence matrix;
+* one capacity row per (critical interval, substrate link): the block
+  ``kron(w_g, I)`` per critical group ``g``, where ``w_g`` holds the
+  link demands of the group's members and the critical intervals come
+  from sweeping the fixed activity intervals (Sec. III-A's event-point
+  insight applied directly).  Node capacities are constants here and
+  are checked before any LP is built.
+
+The structure is fixed, so the LP is assembled straight from
+``scipy.sparse`` blocks and handed to HiGHS as arrays, with no
+:class:`~repro.mip.model.Model` in between.
 
 This LP is the engine of the polynomial greedy variant
 (:func:`repro.tvnep.greedy.greedy_enumerative`), and doubles as a
@@ -19,10 +28,14 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse as sp
+
 from repro.exceptions import ValidationError
-from repro.mip.expr import LinExpr, quicksum
-from repro.mip.highs_backend import solve as solve_highs
-from repro.mip.model import Model, ObjectiveSense
+
+# called through this module attribute, which perfbench/tracing.py wraps
+# as the ``mip.lp`` layer
+from repro.mip.highs_backend import solve_arrays as solve_highs
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 from repro.temporal.interval import Interval
@@ -130,57 +143,65 @@ def solve_fixed_schedule(
                 )
 
     # -- link flows: one LP ----------------------------------------------
-    model = Model("fixed-schedule")
-    flow_vars: dict[tuple[int, tuple, tuple], object] = {}
+    # columns: placement -> virtual link -> substrate link; rows: one
+    # incidence block per (placement, virtual link) pair, then one
+    # capacity row per substrate link per critical group
+    links = substrate.links
+    num_links = len(links)
+    incidence, node_row = _incidence(substrate)
+    num_node_rows = incidence.shape[0]
+
+    pairs: list[tuple[int, tuple]] = []
+    demands: list[float] = []
+    supply_rows: list[int] = []
+    supply: list[float] = []
     for index, placement in enumerate(active_placements):
         vnet = placement.request.vnet
         for lv in vnet.links:
-            for ls in substrate.links:
-                flow_vars[(index, lv, ls)] = model.continuous_var(
-                    f"f[{index}][{lv}@{ls}]", lb=0.0, ub=1.0
-                )
-        for lv in vnet.links:
-            tail, head = lv
-            src = placement.node_mapping[tail]
-            dst = placement.node_mapping[head]
-            for s in substrate.nodes:
-                outflow = quicksum(
-                    flow_vars[(index, lv, ls)] for ls in substrate.out_links(s)
-                )
-                inflow = quicksum(
-                    flow_vars[(index, lv, ls)] for ls in substrate.in_links(s)
-                )
-                balance = 0.0
-                if src != dst:
-                    if s == src:
-                        balance = 1.0
-                    elif s == dst:
-                        balance = -1.0
-                model.add_constr(
-                    outflow - inflow == balance,
-                    name=f"flow[{index}][{lv}][{s}]",
-                )
-
-    for group in groups:
-        for ls in substrate.links:
-            usage = LinExpr()
-            for index in group:
-                vnet = active_placements[index].request.vnet
-                for lv in vnet.links:
-                    usage.add_term(
-                        flow_vars[(index, lv, ls)], vnet.link_demand(lv)
+            src = placement.node_mapping[lv[0]]
+            dst = placement.node_mapping[lv[1]]
+            if src != dst:
+                stranded = [h for h in (src, dst) if h not in node_row]
+                if stranded:
+                    return FixedScheduleResult(
+                        feasible=False,
+                        link_flows={},
+                        reason=(
+                            f"{placement.request.name}: virtual link {lv} "
+                            f"ends on {stranded[0]!r}, which has no "
+                            "substrate link"
+                        ),
                     )
-            if usage.terms:
-                model.add_constr(
-                    usage <= substrate.link_capacity(ls),
-                    name=f"cap[{ls}]",
-                )
+                offset = len(pairs) * num_node_rows
+                supply_rows += [offset + node_row[src], offset + node_row[dst]]
+                supply += [1.0, -1.0]
+            pairs.append((index, lv))
+            demands.append(vnet.link_demand(lv))
 
-    # minimizing total flow keeps routings cycle-free and canonical
-    model.set_objective(
-        quicksum(var for var in flow_vars.values()), ObjectiveSense.MINIMIZE
-    )
-    solution = solve_highs(model)
+    num_pairs = len(pairs)
+    owner = np.array([index for index, _ in pairs], dtype=np.int64)
+    weight = np.array(demands, dtype=np.float64)
+    # one demand vector w_g per critical group; all-zero ones add no row
+    weights = [np.where(np.isin(owner, group), weight, 0.0) for group in groups]
+    weights = [w_g for w_g in weights if w_g.any()]
+    W = sp.csr_matrix(np.array(weights).reshape(len(weights), num_pairs))
+
+    flow_block = sp.kron(sp.identity(num_pairs), incidence, format="csr")
+    capacity_block = sp.kron(W, sp.identity(num_links), format="csr")
+    A = sp.vstack([flow_block, capacity_block], format="csr")
+    balance = np.zeros(flow_block.shape[0])
+    balance[supply_rows] = supply
+    capacity = np.array([substrate.link_capacity(ls) for ls in links])
+    no_floor = np.full(capacity_block.shape[0], -np.inf)
+    # + 0.0 normalises signed zeros
+    row_lb = np.concatenate([balance, no_floor]) + 0.0
+    row_ub = np.concatenate([balance, np.tile(capacity, len(weights))]) + 0.0
+
+    # minimizing total flow keeps routings cycle-free and canonical;
+    # every flow is a fraction in [0, 1]
+    num_vars = A.shape[1]
+    ones = np.ones(num_vars)
+    solution = solve_highs(ones, A, row_lb, row_ub, np.zeros(num_vars), ones)
     if not solution.has_solution:
         return FixedScheduleResult(
             feasible=False,
@@ -190,14 +211,47 @@ def solve_fixed_schedule(
         )
 
     flows: dict[str, dict[tuple, dict[tuple, float]]] = {}
-    for (index, lv, ls), var in flow_vars.items():
-        value = solution.value(var)
-        if value > 1e-7:
-            name = active_placements[index].request.name
-            flows.setdefault(name, {}).setdefault(lv, {})[ls] = min(value, 1.0)
+    x = solution.x.reshape(num_pairs, num_links)
+    for k, e in zip(*np.nonzero(x > 1e-7)):
+        index, lv = pairs[k]
+        name = active_placements[index].request.name
+        value = min(float(x[k, e]), 1.0)
+        flows.setdefault(name, {}).setdefault(lv, {})[links[e]] = value
     # placements with no active links still appear with empty flows
     for placement in active_placements:
         flows.setdefault(placement.request.name, {})
     return FixedScheduleResult(
         feasible=True, link_flows=flows, runtime=solution.runtime
     )
+
+
+def _incidence(
+    substrate: SubstrateNetwork,
+) -> tuple[sp.csr_matrix, dict[Hashable, int]]:
+    """Node-link incidence ``B`` of the substrate, and each node's row.
+
+    ``B[v, e]`` is +1 when ``v`` is the tail of link ``e`` and -1 when
+    it is the head, in ``substrate.nodes`` / ``substrate.links`` order.
+    Nodes without any link have an all-zero row, which carries no
+    conservation constraint: it is dropped and the node gets no row.
+    """
+    position = {node: i for i, node in enumerate(substrate.nodes)}
+    links = substrate.links
+    tails = np.array([position[u] for u, _ in links], dtype=np.int64)
+    heads = np.array([position[v] for _, v in links], dtype=np.int64)
+    linked = np.zeros(len(position), dtype=bool)
+    linked[tails] = linked[heads] = True
+    row = np.cumsum(linked) - 1
+    columns = np.arange(len(links))
+    B = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(len(links)), -np.ones(len(links))]),
+            (
+                np.concatenate([row[tails], row[heads]]),
+                np.concatenate([columns, columns]),
+            ),
+        ),
+        shape=(int(linked.sum()), len(links)),
+    )
+    node_row = {node: int(row[i]) for node, i in position.items() if linked[i]}
+    return B, node_row

@@ -355,8 +355,10 @@ def greedy_enumerative(
       MIP variant's objective (21).
 
     Produces the same acceptance decisions and schedules as
-    :func:`greedy_csigma` (tested), with strictly polynomial work:
-    O(|R|) LPs per request.
+    :func:`greedy_csigma` on the tested small instances, with strictly
+    polynomial work: O(|R|) LPs per request.  At paper scale the two
+    disagree on a few cells (pinned as an expected failure in
+    ``tests/tvnep/test_greedy_enumerative.py``).
     """
     from repro.temporal.interval import Interval
     from repro.tvnep.fixed_schedule import FixedPlacement, solve_fixed_schedule

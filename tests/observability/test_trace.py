@@ -219,3 +219,55 @@ class TestDeterminism:
         assert end["status"] == "optimal"
         assert end["nodes"] == solution.node_count
         assert end["objective"] == pytest.approx(solution.objective)
+
+
+# ---------------------------------------------------------------------------
+# the enumerative greedy's array-native LPs keep the solve telemetry
+# ---------------------------------------------------------------------------
+#: ``solve --model greedy-enum --trace`` on ``generate --seed 0
+#: --num-requests 3``, as recorded when the fixed-schedule LP still went
+#: through ``Model.to_standard_form``
+ENUMERATIVE_GREEDY_TRACE = """\
+{"event":"solve_start","num_constraints":42,"num_integral":0,"num_vars":48,"seq":0,"solver":"highs"}
+{"bound":3.0,"event":"solve_end","nodes":0,"objective":3.0,"seq":1,"solver":"highs","status":"optimal"}
+{"event":"solve_start","num_constraints":84,"num_integral":0,"num_vars":96,"seq":2,"solver":"highs"}
+{"bound":4.0,"event":"solve_end","nodes":0,"objective":4.0,"seq":3,"solver":"highs","status":"optimal"}
+{"event":"solve_start","num_constraints":150,"num_integral":0,"num_vars":144,"seq":4,"solver":"highs"}
+{"bound":7.0,"event":"solve_end","nodes":0,"objective":7.0,"seq":5,"solver":"highs","status":"optimal"}
+"""
+
+
+class TestEnumerativeGreedyTelemetry:
+    def test_cli_trace_and_counters_pinned(self, tmp_path, capsys):
+        from unittest import mock
+
+        from repro.cli import main
+        from repro.tvnep import fixed_schedule
+
+        instance = tmp_path / "instance.json"
+        trace_path = tmp_path / "trace.jsonl"
+        generate = ["generate", "--seed", "0", "--num-requests", "3"]
+        assert main([*generate, "-o", str(instance)]) == 0
+        capsys.readouterr()
+        with mock.patch.object(
+            fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
+        ) as lp:
+            code = main(
+                [
+                    "solve",
+                    str(instance),
+                    "--model",
+                    "greedy-enum",
+                    "--trace",
+                    str(trace_path),
+                    "--metrics-summary",
+                ]
+            )
+        assert code == 0
+        assert trace_path.read_text() == ENUMERATIVE_GREEDY_TRACE
+        summary = capsys.readouterr().out.splitlines()
+        # one HiGHS solve per LP; no Model is compiled, so no cache misses
+        assert lp.call_count == 3
+        assert f"solver.solves {lp.call_count}" in summary
+        assert not any(line.startswith("cache.") for line in summary)
+        assert validate_trace_file(trace_path) == []

@@ -15,9 +15,18 @@ When the goldens were recorded, every case was also built through an
 independent ``LinExpr`` dict-algebra emitter of the same rows, and the
 two compiled forms were byte-identical.
 
+The ``fixed-schedule/`` family pins the link-embedding LPs of
+:mod:`repro.tvnep.fixed_schedule`, which are assembled as arrays with no
+:class:`~repro.mip.model.Model` (so they have no names).  Each case runs
+the enumerative greedy on a grid scenario, or solves one instance of
+``test_fixed_schedule.py``, and hashes every LP it solves — ``c``, the
+CSR parts of ``A``, row and column bounds — in solve order.  These
+goldens were recorded from the ``Model``-compiled LPs the arrays
+replaced, which they match byte for byte.
+
 A change that is *meant* to alter a model re-pins the file::
 
-    PYTHONPATH=src python tests/tvnep/test_golden_forms.py > tests/tvnep/golden_forms.json
+    PYTHONPATH=src python -m tests.tvnep.test_golden_forms > tests/tvnep/golden_forms.json
 
 and should say which cases moved and why.
 """
@@ -30,17 +39,27 @@ import json
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.mip.model import Model, StandardForm
-from repro.tvnep import CSigmaModel, DeltaModel, SigmaModel
+from repro.tvnep import (
+    CSigmaModel,
+    DeltaModel,
+    SigmaModel,
+    fixed_schedule,
+    greedy_enumerative,
+    solve_fixed_schedule,
+)
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.discrete_model import DiscreteTimeModel
 from repro.tvnep.rerouting import ReroutingCSigmaModel
 from repro.vnep.static_model import StaticVNEPModel
 from repro.workloads import small_scenario
+
+from .test_fixed_schedule import INSTANCES as FIXED_SCHEDULE_INSTANCES
 
 GOLDEN_PATH = Path(__file__).with_name("golden_forms.json")
 
@@ -57,20 +76,25 @@ GRID_MODELS = (
 )
 
 
+def _put(digest, payload: bytes) -> None:
+    digest.update(len(payload).to_bytes(8, "little"))
+    digest.update(payload)
+
+
+def _put_arrays(digest, floats, ints) -> None:
+    """Hash arrays in a fixed dtype and byte order (``-0.0`` as ``0.0``),
+    so the value does not depend on the platform's index type."""
+    for values in floats:
+        _put(digest, (np.asarray(values, dtype="<f8") + 0.0).tobytes())
+    for values in ints:
+        _put(digest, np.asarray(values, dtype="<i8").tobytes())
+
+
 def fingerprint(form: StandardForm) -> str:
-    """sha256 over every field of a compiled standard form.
-
-    Arrays are hashed in a fixed dtype and byte order (and ``-0.0`` as
-    ``0.0``), so the value does not depend on the platform's index type.
-    """
+    """sha256 over every field of a compiled standard form."""
     digest = hashlib.sha256()
-
-    def put(payload: bytes) -> None:
-        digest.update(len(payload).to_bytes(8, "little"))
-        digest.update(payload)
-
-    put("\0".join(v.name for v in form.variables).encode())
-    put("\0".join(form.constraint_names).encode())
+    _put(digest, "\0".join(v.name for v in form.variables).encode())
+    _put(digest, "\0".join(form.constraint_names).encode())
     floats = (
         form.c,
         [form.c0, form.sense_sign],
@@ -80,10 +104,7 @@ def fingerprint(form: StandardForm) -> str:
         form.lb,
         form.ub,
     )
-    for values in floats:
-        put((np.asarray(values, dtype="<f8") + 0.0).tobytes())
-    for values in (form.A.indptr, form.A.indices, form.integrality):
-        put(np.asarray(values, dtype="<i8").tobytes())
+    _put_arrays(digest, floats, (form.A.indptr, form.A.indices, form.integrality))
     return digest.hexdigest()
 
 
@@ -158,7 +179,51 @@ def record(model: Model) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# the fixed-schedule LP: arrays only, one entry per run of LPs
+# ---------------------------------------------------------------------------
+def capture_fixed_schedule_lps(run: Callable[[], object]) -> list[tuple]:
+    """``(c, A, row_lb, row_ub, lb, ub)`` of every LP ``run()`` solves."""
+    with mock.patch.object(
+        fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
+    ) as solve:
+        run()
+    return [call.args[:6] for call in solve.call_args_list]
+
+
+def record_fixed_schedule(run: Callable[[], object]) -> dict:
+    """The golden entry of the fixed-schedule LPs one run solves."""
+    digest = hashlib.sha256()
+    shapes = []
+    for c, A, row_lb, row_ub, lb, ub in capture_fixed_schedule_lps(run):
+        shapes.append([A.shape[0], A.shape[1], int(A.nnz)])
+        _put_arrays(digest, (c, A.data, row_lb, row_ub, lb, ub), (A.indptr, A.indices))
+    return {"shapes": shapes, "sha256": digest.hexdigest()}
+
+
+def _greedy_enumerative(seed, flexibility):
+    scenario = small_scenario(seed).with_flexibility(flexibility)
+    greedy_enumerative(scenario.substrate, scenario.requests, scenario.node_mappings)
+
+
+def _fixed_schedule_instance(builder):
+    solve_fixed_schedule(*builder())
+
+
+def fixed_schedule_cases() -> dict[str, Callable[[], object]]:
+    """Case id -> zero-argument run that solves the case's LPs."""
+    cases: dict[str, Callable[[], object]] = {}
+    for seed, flex in itertools.product(SEEDS, (0.0, 1.0)):
+        cases[f"fixed-schedule/greedy-s{seed}-n6-f{flex}"] = partial(
+            _greedy_enumerative, seed, flex
+        )
+    for name, builder in FIXED_SCHEDULE_INSTANCES.items():
+        cases[f"fixed-schedule/{name}"] = partial(_fixed_schedule_instance, builder)
+    return cases
+
+
 CASES = golden_cases()
+FIXED_SCHEDULE_CASES = fixed_schedule_cases()
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +232,7 @@ def golden() -> dict:
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted([*CASES, *FIXED_SCHEDULE_CASES])
 
 
 @pytest.mark.parametrize("case_id", list(CASES))
@@ -183,6 +248,19 @@ def test_form_matches_golden(golden, case_id):
     )
 
 
+@pytest.mark.parametrize("case_id", list(FIXED_SCHEDULE_CASES))
+def test_fixed_schedule_lps_match_golden(golden, case_id):
+    got = record_fixed_schedule(FIXED_SCHEDULE_CASES[case_id])
+    want = golden[case_id]
+    assert got["shapes"] == want["shapes"], (
+        f"{case_id}: (rows, cols, nnz) per LP moved from {want['shapes']} "
+        f"to {got['shapes']}"
+    )
+    assert got["sha256"] == want["sha256"], (
+        f"{case_id}: same LP shapes, but coefficients or bounds changed"
+    )
+
+
 def dumps(records: dict) -> str:
     """The golden file's text: one case per line, sorted by id."""
     lines = (
@@ -193,4 +271,7 @@ def dumps(records: dict) -> str:
 
 
 if __name__ == "__main__":
-    print(dumps({case_id: record(build()) for case_id, build in CASES.items()}))
+    records = {case_id: record(build()) for case_id, build in CASES.items()}
+    for case_id, run in FIXED_SCHEDULE_CASES.items():
+        records[case_id] = record_fixed_schedule(run)
+    print(dumps(records))
