@@ -18,13 +18,18 @@ The structure is fixed, so the LP is assembled straight from
 ``scipy.sparse`` blocks and handed to HiGHS as arrays, with no
 :class:`~repro.mip.model.Model` in between.
 
-This LP is the engine of the polynomial greedy variant
+This LP is the decision rule of the polynomial greedy variant
 (:func:`repro.tvnep.greedy.greedy_enumerative`), and doubles as a
-standalone "can these tenants coexist?" feasibility oracle.
+standalone "can these tenants coexist?" feasibility oracle.  The greedy
+applies the rule through :class:`PathFirstAdmission`, which keeps a
+feasible flow assignment for the accepted set and accepts most
+candidates by a path search over the residual link capacities, solving
+an LP only when that search fails.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
@@ -38,9 +43,15 @@ from repro.exceptions import ValidationError
 from repro.mip.highs_backend import solve_arrays as solve_highs
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
+from repro.observability.metrics import get_registry
 from repro.temporal.interval import Interval
 
-__all__ = ["FixedPlacement", "FixedScheduleResult", "solve_fixed_schedule"]
+__all__ = [
+    "FixedPlacement",
+    "FixedScheduleResult",
+    "PathFirstAdmission",
+    "solve_fixed_schedule",
+]
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,17 @@ def solve_fixed_schedule(
     feasibility solves one LP.  Placements with a degenerate interval
     contribute nothing (they never hold resources).
     """
+    _check_mappings(placements)
+    active_placements = [p for p in placements if not p.interval.is_degenerate]
+    groups = _critical_groups(active_placements)
+    reason = _node_overload(substrate, active_placements, groups)
+    if reason:
+        return FixedScheduleResult(feasible=False, link_flows={}, reason=reason)
+    capacity = np.array([substrate.link_capacity(ls) for ls in substrate.links])
+    return _link_lp(substrate, active_placements, groups, capacity)
+
+
+def _check_mappings(placements: list[FixedPlacement]) -> None:
     for placement in placements:
         missing = [
             v
@@ -118,31 +140,43 @@ def solve_fixed_schedule(
                 f"{placement.request.name}: mapping misses {missing}"
             )
 
-    active_placements = [p for p in placements if not p.interval.is_degenerate]
-    groups = _critical_groups(active_placements)
 
-    # -- node capacities: constants only ---------------------------------
+def _node_overload(
+    substrate: SubstrateNetwork,
+    placements: list[FixedPlacement],
+    groups: list[list[int]],
+) -> str:
+    """Why some critical group overloads a node ("" when none does).
+
+    Node capacities are constants here, so this is plain arithmetic.
+    """
     for group in groups:
         usage: dict[Hashable, float] = {}
         for index in group:
-            for host, amount in active_placements[index].node_usage().items():
+            for host, amount in placements[index].node_usage().items():
                 usage[host] = usage.get(host, 0.0) + amount
         for host, amount in usage.items():
             if amount > substrate.node_capacity(host) + 1e-9:
-                members = ", ".join(
-                    active_placements[i].request.name for i in group
+                members = ", ".join(placements[i].request.name for i in group)
+                return (
+                    f"node {host!r} over capacity "
+                    f"({amount:.3f} > {substrate.node_capacity(host):g}) "
+                    f"while {{{members}}} are active"
                 )
-                return FixedScheduleResult(
-                    feasible=False,
-                    link_flows={},
-                    reason=(
-                        f"node {host!r} over capacity "
-                        f"({amount:.3f} > {substrate.node_capacity(host):g}) "
-                        f"while {{{members}}} are active"
-                    ),
-                )
+    return ""
 
-    # -- link flows: one LP ----------------------------------------------
+
+def _link_lp(
+    substrate: SubstrateNetwork,
+    placements: list[FixedPlacement],
+    groups: list[list[int]],
+    capacity: np.ndarray,
+) -> FixedScheduleResult:
+    """Route the placements' virtual links by one LP.
+
+    Each critical group gets one capacity row per substrate link, with
+    right-hand side ``capacity`` (indexed like ``substrate.links``).
+    """
     # columns: placement -> virtual link -> substrate link; rows: one
     # incidence block per (placement, virtual link) pair, then one
     # capacity row per substrate link per critical group
@@ -155,7 +189,7 @@ def solve_fixed_schedule(
     demands: list[float] = []
     supply_rows: list[int] = []
     supply: list[float] = []
-    for index, placement in enumerate(active_placements):
+    for index, placement in enumerate(placements):
         vnet = placement.request.vnet
         for lv in vnet.links:
             src = placement.node_mapping[lv[0]]
@@ -191,7 +225,6 @@ def solve_fixed_schedule(
     A = sp.vstack([flow_block, capacity_block], format="csr")
     balance = np.zeros(flow_block.shape[0])
     balance[supply_rows] = supply
-    capacity = np.array([substrate.link_capacity(ls) for ls in links])
     no_floor = np.full(capacity_block.shape[0], -np.inf)
     # + 0.0 normalises signed zeros
     row_lb = np.concatenate([balance, no_floor]) + 0.0
@@ -214,15 +247,142 @@ def solve_fixed_schedule(
     x = solution.x.reshape(num_pairs, num_links)
     for k, e in zip(*np.nonzero(x > 1e-7)):
         index, lv = pairs[k]
-        name = active_placements[index].request.name
+        name = placements[index].request.name
         value = min(float(x[k, e]), 1.0)
         flows.setdefault(name, {}).setdefault(lv, {})[links[e]] = value
     # placements with no active links still appear with empty flows
-    for placement in active_placements:
+    for placement in placements:
         flows.setdefault(placement.request.name, {})
     return FixedScheduleResult(
         feasible=True, link_flows=flows, runtime=solution.runtime
     )
+
+
+class PathFirstAdmission:
+    """A growing accepted set and one feasible flow assignment for it.
+
+    :meth:`admit` tests one more placement against the accepted ones,
+    trying the cheapest sufficient test first:
+
+    0. node capacities, by arithmetic (the rule of
+       :func:`solve_fixed_schedule`);
+    1. a path search: each link's *residual* is its capacity minus the
+       largest accepted load over the critical intervals that overlap
+       the placement's window (exact, since the placement is constant
+       over its window); each virtual link is then routed unsplit by
+       BFS over links whose residual covers its demand, which is
+       subtracted as it goes;
+    2. the link-embedding LP over the placement's flows alone, with the
+       residuals as capacities;
+    3. the joint LP (:func:`solve_fixed_schedule` over accepted + new),
+       which decides and whose flows become the assignment.
+
+    Steps 1 and 2 accept only when a joint flow exists (the accepted
+    loads stay as they are), so every decision is the joint LP's.  The
+    assignment is kept as one per-link load vector per placement.
+    """
+
+    def __init__(self, substrate: SubstrateNetwork) -> None:
+        self.substrate = substrate
+        #: the accepted placements, in acceptance order
+        self.placements: list[FixedPlacement] = []
+        self._loads: list[np.ndarray] = []
+        links = substrate.links
+        self._link_index = {link: e for e, link in enumerate(links)}
+        self._capacity = np.array([substrate.link_capacity(ls) for ls in links])
+        self._out: dict[Hashable, list[tuple[int, Hashable]]] = {}
+        for e, (tail, head) in enumerate(links):
+            self._out.setdefault(tail, []).append((e, head))
+
+    def admit(self, trial: FixedPlacement) -> bool:
+        """Accept ``trial`` if it can join the accepted set."""
+        _check_mappings([trial])
+        placements = [*self.placements, trial]
+        new = len(self.placements)
+        # the accepted set alone fits, so only the critical intervals
+        # that overlap the new window can overload (degenerate
+        # placements join no critical group)
+        groups = [g for g in _critical_groups(placements) if new in g]
+        if _node_overload(self.substrate, placements, groups):
+            return False
+        held = np.zeros_like(self._capacity)
+        for group in groups:
+            others = sum(self._loads[i] for i in group if i != new)
+            held = np.maximum(held, others)
+        residual = self._capacity - held
+
+        registry = get_registry()
+        load = self._route(trial, residual.copy())
+        if load is not None:
+            registry.inc("fixed_schedule.path_accepts")
+            self._accept(trial, load)
+            return True
+        result = _link_lp(self.substrate, [trial], [[0]], residual)
+        if result.feasible:
+            registry.inc("fixed_schedule.residual_lp_accepts")
+            self._accept(trial, self._load(trial, result.link_flows))
+            return True
+        registry.inc("fixed_schedule.joint_lps")
+        result = solve_fixed_schedule(self.substrate, placements)
+        if not result.feasible:
+            return False
+        self.placements = placements
+        self._loads = [self._load(p, result.link_flows) for p in placements]
+        return True
+
+    def _accept(self, trial: FixedPlacement, load: np.ndarray) -> None:
+        self.placements.append(trial)
+        self._loads.append(load)
+
+    def _load(self, placement: FixedPlacement, flows: Mapping) -> np.ndarray:
+        """Per-link load of ``placement`` under the LP ``flows``."""
+        load = np.zeros_like(self._capacity)
+        vnet = placement.request.vnet
+        for lv, on_links in flows.get(placement.request.name, {}).items():
+            for link, value in on_links.items():
+                load[self._link_index[link]] += vnet.link_demand(lv) * value
+        return load
+
+    def _route(
+        self, placement: FixedPlacement, residual: np.ndarray
+    ) -> np.ndarray | None:
+        """Per-link load of an unsplit routing within ``residual``, if any."""
+        load = np.zeros_like(residual)
+        vnet = placement.request.vnet
+        for lv in vnet.links:
+            src = placement.node_mapping[lv[0]]
+            dst = placement.node_mapping[lv[1]]
+            if src == dst:
+                continue
+            demand = vnet.link_demand(lv)
+            path = self._bfs(src, dst, residual >= demand)
+            if path is None:
+                return None
+            residual[path] -= demand
+            load[path] += demand
+        return load
+
+    def _bfs(
+        self, src: Hashable, dst: Hashable, usable: np.ndarray
+    ) -> list[int] | None:
+        """Link indices of a fewest-hop ``src -> dst`` path over ``usable`` links."""
+        reached: dict[Hashable, tuple[int, Hashable] | None] = {src: None}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            for e, head in self._out.get(node, ()):
+                if not usable[e] or head in reached:
+                    continue
+                reached[head] = (e, node)
+                if head == dst:
+                    path = []
+                    step = reached[dst]
+                    while step is not None:
+                        path.append(step[0])
+                        step = reached[step[1]]
+                    return path
+                frontier.append(head)
+        return None
 
 
 def _incidence(

@@ -349,19 +349,33 @@ def greedy_enumerative(
       the end times of already-accepted requests inside its window — a
       left-shift exchange argument shows the earliest feasible start is
       always among them;
-    * each candidate is tested with the fixed-schedule link-embedding
-      LP (:func:`repro.tvnep.fixed_schedule.solve_fixed_schedule`);
     * the first feasible candidate (earliest) is chosen, matching the
       MIP variant's objective (21).
 
+    Each candidate is tested by
+    :class:`repro.tvnep.fixed_schedule.PathFirstAdmission`, which keeps
+    one feasible flow assignment for the accepted set and tries, in
+    order: (0) node capacities by arithmetic; (1) an unsplit path
+    search over the links' residual capacities; (2) an LP over only the
+    new request's flows within those residuals; (3) the joint
+    fixed-schedule LP over accepted + new
+    (:func:`repro.tvnep.fixed_schedule.solve_fixed_schedule`), which
+    decides.  Steps 1 and 2 accept only when a joint flow exists, so the
+    decisions are the joint LP's.  One final joint LP over the accepted
+    set gives the reported flows.  A run thus solves at most one final
+    LP plus the rare fallback LPs of steps 2 and 3.
+
     Produces the same acceptance decisions and schedules as
-    :func:`greedy_csigma` on the tested small instances, with strictly
-    polynomial work: O(|R|) LPs per request.  At paper scale the two
-    disagree on a few cells (pinned as an expected failure in
-    ``tests/tvnep/test_greedy_enumerative.py``).
+    :func:`greedy_csigma` on the tested small instances.  At paper
+    scale the two disagree on a few cells (pinned as an expected
+    failure in ``tests/tvnep/test_greedy_enumerative.py``).
     """
     from repro.temporal.interval import Interval
-    from repro.tvnep.fixed_schedule import FixedPlacement, solve_fixed_schedule
+    from repro.tvnep.fixed_schedule import (
+        FixedPlacement,
+        PathFirstAdmission,
+        solve_fixed_schedule,
+    )
 
     missing = [r.name for r in requests if r.name not in fixed_mappings]
     if missing:
@@ -370,19 +384,19 @@ def greedy_enumerative(
         )
     order = sorted(requests, key=lambda r: (r.earliest_start, r.name))
 
-    accepted: list[FixedPlacement] = []
-    accepted_order: list[str] = []
+    registry = get_registry()
+    admission = PathFirstAdmission(substrate)
     runtimes: list[float] = []
     scheduled: dict[str, ScheduledRequest] = {}
-    latest_flows: dict[str, dict] = {}
 
     for request in order:
+        registry.inc("greedy.iterations")
         tick = time.perf_counter()
         candidates = sorted(
             {request.earliest_start}
             | {
                 placement.interval.hi
-                for placement in accepted
+                for placement in admission.placements
                 if request.earliest_start
                 < placement.interval.hi
                 <= request.latest_end - request.duration + 1e-12
@@ -395,16 +409,13 @@ def greedy_enumerative(
                 node_mapping=fixed_mappings[request.name],
                 interval=Interval(start, start + request.duration),
             )
-            result = solve_fixed_schedule(substrate, accepted + [trial])
-            if result.feasible:
+            if admission.admit(trial):
                 chosen = trial
-                latest_flows = result.link_flows
                 break
         runtimes.append(time.perf_counter() - tick)
+        registry.inc(f"greedy.{'accepted' if chosen else 'rejected'}")
 
         if chosen is not None:
-            accepted.append(chosen)
-            accepted_order.append(request.name)
             scheduled[request.name] = ScheduledRequest(
                 request=request,
                 embedded=True,
@@ -420,10 +431,18 @@ def greedy_enumerative(
                 end=request.earliest_start + request.duration,
             )
 
-    # attach the final (jointly re-optimized) flows to the accepted set
-    for name, entry in scheduled.items():
-        if entry.embedded:
-            entry.link_flows = latest_flows.get(name, {})
+    # the admission steps only decide; the reported flows are the joint
+    # LP's over the accepted set, in acceptance order
+    tick = time.perf_counter()
+    if admission.placements:
+        final = solve_fixed_schedule(substrate, admission.placements)
+        if not final.feasible:
+            raise SolverError(
+                f"enumerative greedy final link-embedding LP failed: {final.reason}"
+            )
+        for name, flows in final.link_flows.items():
+            scheduled[name].link_flows = flows
+    final_runtime = time.perf_counter() - tick
 
     solution = TemporalSolution(
         substrate,
@@ -432,13 +451,13 @@ def greedy_enumerative(
             e.request.revenue() for e in scheduled.values() if e.embedded
         ),
         model_name="enumerative-greedy",
-        runtime=sum(runtimes),
+        runtime=sum(runtimes) + final_runtime,
         gap=0.0,
     )
     return GreedyResult(
         solution=solution,
         iteration_runtimes=runtimes,
-        accepted_order=accepted_order,
+        accepted_order=[p.request.name for p in admission.placements],
     )
 
 

@@ -225,15 +225,12 @@ class TestDeterminism:
 # the enumerative greedy's array-native LPs keep the solve telemetry
 # ---------------------------------------------------------------------------
 #: ``solve --model greedy-enum --trace`` on ``generate --seed 0
-#: --num-requests 3``, as recorded when the fixed-schedule LP still went
-#: through ``Model.to_standard_form``
+#: --num-requests 3``: the path search accepts all three requests, so the
+#: only LP is the final one over the accepted set (the last of the three
+#: LPs, 48/96/144 vars, that one LP per candidate solved)
 ENUMERATIVE_GREEDY_TRACE = """\
-{"event":"solve_start","num_constraints":42,"num_integral":0,"num_vars":48,"seq":0,"solver":"highs"}
-{"bound":3.0,"event":"solve_end","nodes":0,"objective":3.0,"seq":1,"solver":"highs","status":"optimal"}
-{"event":"solve_start","num_constraints":84,"num_integral":0,"num_vars":96,"seq":2,"solver":"highs"}
-{"bound":4.0,"event":"solve_end","nodes":0,"objective":4.0,"seq":3,"solver":"highs","status":"optimal"}
-{"event":"solve_start","num_constraints":150,"num_integral":0,"num_vars":144,"seq":4,"solver":"highs"}
-{"bound":7.0,"event":"solve_end","nodes":0,"objective":7.0,"seq":5,"solver":"highs","status":"optimal"}
+{"event":"solve_start","num_constraints":150,"num_integral":0,"num_vars":144,"seq":0,"solver":"highs"}
+{"bound":7.0,"event":"solve_end","nodes":0,"objective":7.0,"seq":1,"solver":"highs","status":"optimal"}
 """
 
 
@@ -242,13 +239,19 @@ class TestEnumerativeGreedyTelemetry:
         from unittest import mock
 
         from repro.cli import main
-        from repro.tvnep import fixed_schedule
+        from repro.io import load_instance
+        from repro.tvnep import fixed_schedule, greedy_enumerative
+
+        from ..tvnep.reference_greedy import assert_matches_reference
 
         instance = tmp_path / "instance.json"
         trace_path = tmp_path / "trace.jsonl"
         generate = ["generate", "--seed", "0", "--num-requests", "3"]
         assert main([*generate, "-o", str(instance)]) == 0
         capsys.readouterr()
+        loaded = load_instance(instance)
+        args = (loaded.substrate, loaded.requests, loaded.node_mappings)
+        assert_matches_reference(greedy_enumerative(*args), *args)
         with mock.patch.object(
             fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
         ) as lp:
@@ -267,7 +270,9 @@ class TestEnumerativeGreedyTelemetry:
         assert trace_path.read_text() == ENUMERATIVE_GREEDY_TRACE
         summary = capsys.readouterr().out.splitlines()
         # one HiGHS solve per LP; no Model is compiled, so no cache misses
-        assert lp.call_count == 3
+        assert lp.call_count == 1
         assert f"solver.solves {lp.call_count}" in summary
+        assert "fixed_schedule.path_accepts 3" in summary
+        assert "greedy.accepted 3" in summary
         assert not any(line.startswith("cache.") for line in summary)
         assert validate_trace_file(trace_path) == []

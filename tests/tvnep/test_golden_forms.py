@@ -18,9 +18,11 @@ two compiled forms were byte-identical.
 The ``fixed-schedule/`` family pins the link-embedding LPs of
 :mod:`repro.tvnep.fixed_schedule`, which are assembled as arrays with no
 :class:`~repro.mip.model.Model` (so they have no names).  Each case runs
-the enumerative greedy on a grid scenario, or solves one instance of
-``test_fixed_schedule.py``, and hashes every LP it solves — ``c``, the
-CSR parts of ``A``, row and column bounds — in solve order.  These
+the one-LP-per-candidate greedy of ``reference_greedy.py`` (the
+executable spec of ``greedy_enumerative``, which solves far fewer LPs)
+on a grid scenario, or solves one instance of ``test_fixed_schedule.py``,
+and hashes every LP it solves — ``c``, the CSR parts of ``A``, row and
+column bounds — in solve order.  These
 goldens were recorded from the ``Model``-compiled LPs the arrays
 replaced, which they match byte for byte.
 
@@ -50,7 +52,6 @@ from repro.tvnep import (
     DeltaModel,
     SigmaModel,
     fixed_schedule,
-    greedy_enumerative,
     solve_fixed_schedule,
 )
 from repro.tvnep.base import ModelOptions
@@ -59,6 +60,7 @@ from repro.tvnep.rerouting import ReroutingCSigmaModel
 from repro.vnep.static_model import StaticVNEPModel
 from repro.workloads import small_scenario
 
+from .reference_greedy import reference_greedy
 from .test_fixed_schedule import INSTANCES as FIXED_SCHEDULE_INSTANCES
 
 GOLDEN_PATH = Path(__file__).with_name("golden_forms.json")
@@ -201,9 +203,9 @@ def record_fixed_schedule(run: Callable[[], object]) -> dict:
     return {"shapes": shapes, "sha256": digest.hexdigest()}
 
 
-def _greedy_enumerative(seed, flexibility):
+def _reference_greedy(seed, flexibility):
     scenario = small_scenario(seed).with_flexibility(flexibility)
-    greedy_enumerative(scenario.substrate, scenario.requests, scenario.node_mappings)
+    reference_greedy(scenario.substrate, scenario.requests, scenario.node_mappings)
 
 
 def _fixed_schedule_instance(builder):
@@ -215,7 +217,7 @@ def fixed_schedule_cases() -> dict[str, Callable[[], object]]:
     cases: dict[str, Callable[[], object]] = {}
     for seed, flex in itertools.product(SEEDS, (0.0, 1.0)):
         cases[f"fixed-schedule/greedy-s{seed}-n6-f{flex}"] = partial(
-            _greedy_enumerative, seed, flex
+            _reference_greedy, seed, flex
         )
     for name, builder in FIXED_SCHEDULE_INSTANCES.items():
         cases[f"fixed-schedule/{name}"] = partial(_fixed_schedule_instance, builder)

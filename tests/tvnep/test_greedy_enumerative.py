@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
-from repro.tvnep import greedy_csigma, greedy_enumerative, verify_solution
+from repro.observability.metrics import MetricsRegistry, use_registry
+from repro.tvnep import (
+    fixed_schedule,
+    greedy_csigma,
+    greedy_enumerative,
+    verify_solution,
+)
 from repro.workloads import paper_scenario, small_scenario
+
+from .reference_greedy import assert_matches_reference
 
 
 def unit_request(name, t_s, t_e, d, demand=1.0):
@@ -61,12 +71,55 @@ class TestBasics:
             greedy_enumerative(sub, [unit_request("A", 0, 4, 2)], {})
 
     def test_polynomial_iteration_count(self):
-        """Each request triggers at most |accepted|+1 LP solves."""
+        """Each request triggers at most |accepted|+1 LP solves.
+
+        A request tries at most |accepted|+1 candidate starts, and a
+        candidate costs at most two LPs (residual, then joint); here the
+        path search admits every request, so only the final LP is left.
+        """
         sub = one_node(cap=10.0)
         reqs = [unit_request(f"R{i}", 0, 20, 1) for i in range(6)]
-        result = greedy_enumerative(sub, reqs, unit_mappings(reqs))
+        with mock.patch.object(
+            fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
+        ) as lp:
+            result = greedy_enumerative(sub, reqs, unit_mappings(reqs))
         assert result.solution.num_embedded == 6
         assert len(result.iteration_runtimes) == 6
+        assert lp.call_count <= 1 + sum(2 * (accepted + 1) for accepted in range(6))
+        assert lp.call_count == 1
+
+    def test_runtime_includes_final_lp(self):
+        sub = one_node(cap=10.0)
+        reqs = [unit_request(f"R{i}", 0, 20, 1) for i in range(3)]
+        result = greedy_enumerative(sub, reqs, unit_mappings(reqs))
+        assert result.solution.runtime > sum(result.iteration_runtimes)
+
+    def test_failed_final_lp_raises(self):
+        from repro.exceptions import SolverError
+        from repro.tvnep.fixed_schedule import FixedScheduleResult
+
+        sub = one_node()
+        reqs = [unit_request("A", 0, 4, 2)]
+        infeasible = FixedScheduleResult(feasible=False, link_flows={}, reason="x")
+        with mock.patch.object(
+            fixed_schedule, "solve_fixed_schedule", return_value=infeasible
+        ):
+            with pytest.raises(SolverError, match="final link-embedding LP"):
+                greedy_enumerative(sub, reqs, unit_mappings(reqs))
+
+    def test_counters(self):
+        sub = one_node()
+        reqs = [unit_request("A", 0, 2, 2), unit_request("B", 0, 2, 2)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            greedy_enumerative(sub, reqs, unit_mappings(reqs))
+        assert registry.counter("greedy.iterations") == 2
+        assert registry.counter("greedy.accepted") == 1
+        assert registry.counter("greedy.rejected") == 1
+        # B fails the node check, which solves nothing
+        assert registry.counter("fixed_schedule.path_accepts") == 1
+        assert registry.counter("fixed_schedule.joint_lps") == 0
+
 
 
 class TestAgreementWithMipGreedy:
@@ -183,6 +236,50 @@ class TestPaperScale:
         assert solution["R19"].embedded
         assert solution.objective == pytest.approx(420.067, abs=1e-3)
         assert verify_solution(solution).feasible
+
+
+def _small(seed, flexibility, **kwargs):
+    scenario = small_scenario(seed, **kwargs).with_flexibility(flexibility)
+    return scenario.substrate, scenario.requests, scenario.node_mappings
+
+
+#: ``(seed, flexibility)`` of ``small_scenario(seed, link_capacity=1.5)``
+#: grid instances tight enough that every admission step decides
+TIGHT_LINKS = ((0, 2.0), (4, 1.0), (2, 1.0))
+
+
+class TestMatchesReference:
+    """Bit-identical to the one-LP-per-candidate loop of ``reference_greedy``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("flexibility", [0.0, 1.0])
+    def test_small_scenarios(self, seed, flexibility):
+        args = _small(seed, flexibility)
+        assert_matches_reference(greedy_enumerative(*args), *args)
+
+    def test_tight_links_exercise_every_step(self):
+        registry = MetricsRegistry()
+        for seed, flexibility in TIGHT_LINKS:
+            args = _small(seed, flexibility, link_capacity=1.5)
+            with use_registry(registry):
+                result = greedy_enumerative(*args)
+            assert_matches_reference(result, *args)
+        path = registry.counter("fixed_schedule.path_accepts")
+        residual = registry.counter("fixed_schedule.residual_lp_accepts")
+        joint_lps = registry.counter("fixed_schedule.joint_lps")
+        joint_accepts = registry.counter("greedy.accepted") - path - residual
+        assert path >= 1
+        assert residual >= 1
+        assert joint_accepts >= 1
+        assert joint_lps - joint_accepts >= 1  # a joint LP rejected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flexibility", [0.0, 2.0, 4.0])
+@pytest.mark.parametrize("seed", range(24))
+def test_matches_reference_on_paper_instances(seed, flexibility):
+    args = _paper(seed, flexibility)
+    assert_matches_reference(greedy_enumerative(*args), *args)
 
 
 @pytest.mark.xfail(
