@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument(
         "--model",
-        choices=["csigma", "sigma", "delta", "discrete", "greedy", "greedy-enum"],
+        choices=["csigma", "sigma", "delta", "discrete", "greedy"],
         default="csigma",
     )
     solve.add_argument(
@@ -207,7 +207,6 @@ def _run_solve(args: argparse.Namespace) -> int:
         DiscreteTimeModel,
         SigmaModel,
         greedy_csigma,
-        greedy_enumerative,
         verify_solution,
     )
     from repro.tvnep.objectives import OBJECTIVES
@@ -220,26 +219,20 @@ def _run_solve(args: argparse.Namespace) -> int:
 
         budget = SolveBudget(args.wall_clock_budget)
 
-    if args.model in ("greedy", "greedy-enum"):
+    if args.model == "greedy":
         if args.objective != "access_control":
             print("greedy only supports the access_control objective", file=sys.stderr)
             return 2
         if not mappings:
             print("greedy requires node mappings in the instance", file=sys.stderr)
             return 2
-        if args.model == "greedy":
-            solution = greedy_csigma(
-                instance.substrate,
-                instance.requests,
-                mappings,
-                backend=args.backend,
-                time_limit_per_iteration=args.time_limit,
-                budget=budget,
-            ).solution
-        else:
-            solution = greedy_enumerative(
-                instance.substrate, instance.requests, mappings
-            ).solution
+        solution = greedy_csigma(
+            instance.substrate,
+            instance.requests,
+            mappings,
+            time_limit=args.time_limit,
+            budget=budget,
+        ).solution
     elif args.model == "discrete":
         model = DiscreteTimeModel(
             instance.substrate,

@@ -6,9 +6,9 @@ objective value, branch-and-bound gap, acceptance count, and whether
 the independent verifier approved the extracted solution.
 
 Resilience (see :mod:`repro.runtime`): ``run_exact``/``run_greedy``
-accept a global :class:`~repro.runtime.budget.SolveBudget`, can route
-through the HiGHS → branch-and-bound fallback chain
-(``fallback=True``), and ``run_exact`` can degrade all the way to the
+accept a global :class:`~repro.runtime.budget.SolveBudget`; ``run_exact``
+can route through the HiGHS → branch-and-bound fallback chain
+(``fallback=True``) and degrade all the way to the
 greedy heuristic (``degrade_to_greedy=True``) when no exact backend
 produced an incumbent — the record is then tagged with the rung that
 actually answered.  A cell that fails terminally is captured by
@@ -255,9 +255,7 @@ def run_exact(
         and objective == "access_control"
         and scenario.node_mappings
     ):
-        degraded = _degrade_to_greedy(
-            scenario, algorithm, backend, time_limit, budget, options
-        )
+        degraded = _degrade_to_greedy(scenario, algorithm, time_limit, budget)
         if degraded is not None:
             return degraded
 
@@ -277,10 +275,8 @@ def run_exact(
 def _degrade_to_greedy(
     scenario: Scenario,
     algorithm: str,
-    backend,
     time_limit: float | None,
     budget: SolveBudget | None,
-    options: ModelOptions | None,
 ) -> tuple[RunRecord, TemporalSolution] | None:
     """The greedy heuristic as the degraded-mode answer for a failed
     exact solve; ``None`` when the greedy fails too."""
@@ -294,8 +290,6 @@ def _degrade_to_greedy(
             scenario.substrate,
             scenario.requests,
             scenario.node_mappings,
-            options=options,
-            backend=backend,
             time_limit=time_limit if budget is None else None,
             budget=budget,
         )
@@ -320,27 +314,18 @@ def _degrade_to_greedy(
 
 def run_greedy(
     scenario: Scenario,
-    time_limit_per_iteration: float | None = None,
-    backend: str = "highs",
-    options: ModelOptions | None = None,
     time_limit: float | None = None,
     budget: SolveBudget | None = None,
-    fallback: bool = False,
 ) -> tuple[RunRecord, TemporalSolution]:
     """Run Algorithm cSigma^G_A on a scenario (access control).
 
-    ``time_limit``/``budget`` bound the whole run (divided across the
-    iterations, see :func:`repro.tvnep.greedy.greedy_csigma`);
-    ``fallback`` routes each iteration through the backend fallback
-    chain.
+    ``time_limit``/``budget`` bound the whole run (see
+    :func:`repro.tvnep.greedy.greedy_csigma`).
     """
     result = greedy_csigma(
         scenario.substrate,
         scenario.requests,
         scenario.node_mappings,
-        options=options,
-        backend=_resolve_backend(backend, fallback),
-        time_limit_per_iteration=time_limit_per_iteration,
         time_limit=time_limit,
         budget=budget,
     )

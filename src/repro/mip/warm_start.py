@@ -2,8 +2,7 @@
 
 A *warm start* is a caller-supplied assignment believed to be feasible
 — typically the previous accepted schedule of an incremental algorithm
-(:func:`repro.tvnep.greedy.greedy_csigma` re-solves a nearly identical
-model per inserted request).  The branch-and-bound solver uses a valid
+that re-solves a nearly identical model per step.  The branch-and-bound solver uses a valid
 warm start as its initial incumbent: the search then starts with an
 objective cutoff instead of cold, never returns anything worse, and
 prunes at least as much.

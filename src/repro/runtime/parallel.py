@@ -202,13 +202,7 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
 
     try:
         if cell.phase == "greedy":
-            record, _ = run_greedy(
-                scenario,
-                time_limit_per_iteration=ctx.time_limit,
-                backend=ctx.backend,
-                budget=budget,
-                fallback=ctx.fallback,
-            )
+            record, _ = run_greedy(scenario, time_limit=ctx.time_limit, budget=budget)
         elif cell.phase == "objective":
             kwargs = (
                 {"load_fraction": ctx.load_fraction}

@@ -7,7 +7,9 @@ Public entry points:
 * :class:`ModelOptions` — formulation switches (cuts, reductions).
 * :mod:`repro.tvnep.objectives` — the four objective functions of
   Sec. IV-E plus a makespan extension.
-* :func:`greedy_csigma` — Algorithm cSigma^G_A (Sec. V).
+* :func:`greedy_csigma` — Algorithm cSigma^G_A (Sec. V), by path-first
+  admission; :func:`hybrid_heavy_hitters` runs the same loop after an
+  exact phase (Sec. VIII).
 * :func:`verify_solution` — the independent Definition-2.1 checker.
 """
 

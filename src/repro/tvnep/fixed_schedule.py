@@ -18,8 +18,8 @@ The structure is fixed, so the LP is assembled straight from
 ``scipy.sparse`` blocks and handed to HiGHS as arrays, with no
 :class:`~repro.mip.model.Model` in between.
 
-This LP is the decision rule of the polynomial greedy variant
-(:func:`repro.tvnep.greedy.greedy_enumerative`), and doubles as a
+This LP is the decision rule of the greedy cSigma^G_A
+(:func:`repro.tvnep.greedy.greedy_csigma`), and doubles as a
 standalone "can these tenants coexist?" feasibility oracle.  The greedy
 applies the rule through :class:`PathFirstAdmission`, which keeps a
 feasible flow assignment for the accepted set and accepts most

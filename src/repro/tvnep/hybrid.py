@@ -13,38 +13,43 @@ labor:
 2. solve the heavy-hitters **exactly** with the cSigma-Model (access
    control), obtaining their accept/reject decisions and schedules;
 3. insert the small requests **greedily** (earliest-start order, each
-   as one cSigma solve with everything placed so far pinned — the
-   insertion loop of Algorithm cSigma^G_A, started from the
-   heavy-hitters' outcomes instead of an empty model).
+   at its earliest feasible start with everything placed so far pinned
+   — the admission loop of Algorithm cSigma^G_A, seeded with the
+   heavy-hitters' accepted placements instead of starting empty).
 
 The result is always feasible, dominates pure greedy whenever the
 heavy-hitters carry most of the revenue (they get the optimal
 treatment), and costs one moderately sized exact solve plus cheap
-greedy iterations instead of one big exact solve.
+greedy insertions instead of one big exact solve.  The paper's
+per-insertion cSigma MIP is the specification of phase 3
+(``tests/tvnep/reference_mip_greedy.py``); the insertions themselves
+are the greedy's path-first admissions, with no MILP.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import SolverError, ValidationError
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 from repro.runtime.budget import SolveBudget
+from repro.temporal.interval import Interval
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.csigma_model import CSigmaModel
+from repro.tvnep.feasibility import _snap_times
+from repro.tvnep.fixed_schedule import FixedPlacement, PathFirstAdmission
 from repro.tvnep.greedy import (
-    _earliest_slot,
-    _insert_all,
-    _link_flow_values,
-    _reconcile,
-    _with_horizon,
+    _accepted_entry,
+    _admit_in_order,
+    _final_solution,
+    _rejected_entry,
+    _require_mappings,
 )
-from repro.tvnep.incremental import IncrementalCSigmaModel
-from repro.tvnep.solution import TemporalSolution
-# perfbench/tracing.py patches this name on both loop modules
+from repro.tvnep.solution import ScheduledRequest, TemporalSolution
+# nothing here calls it; only perfbench/tracing.py patches this name
 from repro.tvnep.warmstart import validated_warm_start  # noqa: F401
 from repro.vnep.embedding_vars import NodeMapping
 
@@ -86,15 +91,13 @@ def hybrid_heavy_hitters(
     options: ModelOptions | None = None,
     backend: str = "highs",
     exact_time_limit: float | None = None,
-    time_limit_per_iteration: float | None = None,
     time_limit: float | None = None,
     budget: SolveBudget | None = None,
 ) -> HybridResult:
     """Exact on the heavy-hitters, greedy on the rest (Sec. VIII).
 
-    The insertion phase is the greedy's own loop over one growing
-    :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`, seeded
-    with the heavy-hitters' pinned outcomes instead of starting empty.
+    The insertion phase is the greedy's own admission loop, seeded with
+    the heavy-hitters' accepted placements instead of starting empty.
 
     Parameters
     ----------
@@ -102,33 +105,33 @@ def hybrid_heavy_hitters(
         Fraction of requests (by count, after sorting by revenue
         descending) treated exactly; clamped to at least one request
         when the set is non-empty.
-    exact_time_limit / time_limit_per_iteration:
-        Budgets for the exact phase and each greedy insertion.
+    options, backend, exact_time_limit:
+        Formulation options, MIP backend and time limit of the exact
+        phase.
     time_limit / budget:
         One global wall-clock budget for the whole run (a
         :class:`~repro.runtime.budget.SolveBudget`, or seconds to build
-        one from): the exact phase receives half the remaining time and
-        the greedy insertions divide the rest fairly, so the hybrid
-        always terminates on schedule.
+        one from): the exact phase receives half the remaining time, and
+        once the budget has expired the remaining insertions reject
+        untested, so the hybrid always terminates on schedule.
 
     Raises
     ------
     ModelingError
-        When a request's embedding block cannot be built (e.g. a mapping
-        target that is not a substrate node).
+        When a request's mapping targets a node the substrate lacks.
+    SolverError
+        When the exact phase's accepted placements do not fit together.
     """
     if not 0.0 <= heavy_fraction <= 1.0:
         raise ValidationError("heavy_fraction must lie in [0, 1]")
-    missing = [r.name for r in requests if r.name not in fixed_mappings]
-    if missing:
-        raise SolverError(
-            f"hybrid needs fixed node mappings for all requests; missing {missing}"
-        )
+    _require_mappings(requests, fixed_mappings, "hybrid")
     options = options or ModelOptions()
+    if options.time_horizon is None:
+        options = replace(
+            options, time_horizon=max(r.latest_end for r in requests)
+        )
     if budget is None and time_limit is not None:
         budget = SolveBudget(time_limit)
-    horizon = max(r.latest_end for r in requests)
-    options = _with_horizon(options, horizon)
 
     by_revenue = sorted(requests, key=lambda r: (-r.revenue(), r.name))
     num_heavy = max(1, round(heavy_fraction * len(by_revenue))) if by_revenue else 0
@@ -138,57 +141,58 @@ def hybrid_heavy_hitters(
     )
 
     # -- phase 1: exact on the heavy-hitters ------------------------------
-    # the exact phase gets half the remaining global budget; the greedy
-    # insertions divide the rest
+    # the exact phase gets half the remaining global budget
     if budget is not None:
         half = budget.remaining() * 0.5
         exact_time_limit = (
             half if exact_time_limit is None else min(exact_time_limit, half)
         )
     tick = time.perf_counter()
-    exact_model = CSigmaModel(
+    exact_solution = CSigmaModel(
         substrate,
         heavy,
         fixed_mappings={r.name: fixed_mappings[r.name] for r in heavy},
         options=options,
-    )
-    exact_raw = exact_model.solve_raw(backend=backend, time_limit=exact_time_limit)
-    exact_solution = exact_model.extract(exact_raw)
+    ).solve(backend=backend, time_limit=exact_time_limit)
     exact_runtime = time.perf_counter() - tick
 
     # -- phase 2: greedy insertion of the small requests -------------------
-    # seed one growing model with the heavy-hitters' pinned outcomes
-    inc = IncrementalCSigmaModel(substrate, options=options, horizon=horizon)
-    accepted: list[str] = []
+    # seed the admission with the heavy-hitters' accepted placements, in
+    # revenue order; a subset of a jointly feasible set always fits.  The
+    # exact times meet back to back only up to solver tolerance, so they
+    # are snapped as verify_solution snaps them
+    snapped = _snap_times(exact_solution, 1e-6)
+    admission = PathFirstAdmission(substrate)
+    scheduled: dict[str, ScheduledRequest] = {}
     for request in heavy:
-        inc.insert(request, fixed_mappings[request.name])
         entry = exact_solution.scheduled.get(request.name)
-        if entry is not None and entry.embedded:
-            accepted.append(request.name)
-            pinned = request.with_schedule(entry.start, entry.end)
-            inc.decide(request.name, True, pinned)
-        else:
-            inc.decide(request.name, False, _earliest_slot(request))
-    # x_E values of the exact phase seed the insertion warm starts
-    solution, greedy_runtimes = _insert_all(
-        inc,
+        if entry is None or not entry.embedded:
+            scheduled[request.name] = _rejected_entry(request)
+            continue
+        placement = FixedPlacement(
+            request=request,
+            node_mapping=fixed_mappings[request.name],
+            interval=Interval(snapped[entry.start], snapped[entry.end]),
+        )
+        if not admission.admit(placement):
+            raise SolverError(
+                f"hybrid: the exact phase's placement of {request.name} "
+                f"at {placement.interval} does not fit"
+            )
+        scheduled[request.name] = _accepted_entry(placement)
+    greedy_runtimes = _admit_in_order(
+        admission,
         small,
         fixed_mappings,
-        accepted,
-        _link_flow_values(exact_raw) if exact_raw.has_solution else {},
-        backend=backend,
-        time_limit_per_iteration=time_limit_per_iteration,
+        scheduled,
         budget=budget,
         label="hybrid",
         step="insertions",
     )
+    solution = _final_solution(admission, scheduled, "hybrid-heavy-hitters")
+    solution.runtime += exact_runtime + sum(greedy_runtimes)
     return HybridResult(
-        solution=_reconcile(
-            solution,
-            requests,
-            "hybrid-heavy-hitters",
-            exact_runtime + sum(greedy_runtimes),
-        ),
+        solution=solution,
         heavy_names=[r.name for r in heavy],
         small_names=[r.name for r in small],
         exact_runtime=exact_runtime,

@@ -1,4 +1,6 @@
-"""One growing cSigma model across greedy insertions (Sec. V, fast path).
+"""One growing cSigma model across greedy insertions (Sec. V, MIP form).
+
+Only perfbench/tracing.py still needs this module; no solver path uses it.
 
 The greedy algorithm cSigma^G_A solves a cSigma model per insertion in
 which only the newest request is undecided — yet the historical loop

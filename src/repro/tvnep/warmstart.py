@@ -1,7 +1,9 @@
 """Building MIP warm starts from concrete schedules.
 
-The greedy algorithm cSigma^G_A and the heavy-hitters hybrid re-solve a
-nearly identical explicit-state model per inserted request: everything
+Only perfbench/tracing.py still needs this module; no solver path uses it.
+
+The per-insertion MIP form of cSigma^G_A re-solves a nearly identical
+explicit-state model per inserted request: everything
 placed so far is pinned, only the new request is free.  The previous
 iteration's outcome — accepted requests at their pinned windows, the
 candidate rejected — is therefore a feasible point of the *new* model,

@@ -57,11 +57,10 @@ class TestFallbackSweep:
         assert exact.rung == "bnb"
 
     def test_exact_degrades_to_greedy_rung(self):
-        """Both exact backends dead for the model solve, alive for the
-        greedy's per-request solves: the greedy rung answers."""
+        """Both exact backends dead for the model solve: the greedy,
+        which solves no MILP, answers as the last rung."""
         scenario = small_scenario(0, num_requests=2)
-        # the exact solve burns highs attempts 1+2 (retries=1) and bnb;
-        # later (greedy) calls are clean
+        # the exact solve burns highs attempts 1+2 (retries=1) and bnb
         with inject_faults("highs", script={1: "error", 2: "error"}):
             with inject_faults("bnb", script={1: "error"}):
                 record, solution = run_exact(
@@ -76,10 +75,12 @@ class TestFallbackSweep:
         assert record.verified_feasible
 
     def test_everything_dead_yields_error_records(self, tmp_path):
-        """No rung can answer: the sweep still completes, persisting
-        explicit error cells instead of dying."""
+        """No MILP rung can answer and the greedy rung is off: the sweep
+        still completes, persisting an explicit error cell for the exact
+        model instead of dying; the greedy, which solves no MILP, still
+        answers its own cell."""
         store_path = str(tmp_path / "records.jsonl")
-        evaluation = Evaluation(mini_config(), store_path=store_path)
+        evaluation = Evaluation(mini_config(fallback=False), store_path=store_path)
         with inject_faults("highs", always="error"):
             with inject_faults("bnb", always="error"):
                 evaluation.run_access_control()
@@ -87,12 +88,18 @@ class TestFallbackSweep:
 
         assert len(evaluation.access_records) == 1
         assert len(evaluation.greedy_records) == 1
-        for record in evaluation.access_records + evaluation.greedy_records:
+        for record in evaluation.access_records:
             assert record.status == "error"
             assert not record.solved
+        for record in evaluation.greedy_records:
+            assert record.status == "solved"
+            assert record.verified_feasible
         on_disk = load_records(store_path)
         assert len(on_disk) == 2
-        assert all(r.status == "error" for r in on_disk)
+        assert {r.algorithm: r.status for r in on_disk} == {
+            "csigma": "error",
+            "greedy": "solved",
+        }
 
 
 class TestCrashResume:

@@ -222,9 +222,9 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# the enumerative greedy's array-native LPs keep the solve telemetry
+# the greedy's array-native LPs keep the solve telemetry
 # ---------------------------------------------------------------------------
-#: ``solve --model greedy-enum --trace`` on ``generate --seed 0
+#: ``solve --model greedy --trace`` on ``generate --seed 0
 #: --num-requests 3``: the path search accepts all three requests, so the
 #: only LP is the final one over the accepted set (the last of the three
 #: LPs, 48/96/144 vars, that one LP per candidate solved)
@@ -240,7 +240,7 @@ class TestEnumerativeGreedyTelemetry:
 
         from repro.cli import main
         from repro.io import load_instance
-        from repro.tvnep import fixed_schedule, greedy_enumerative
+        from repro.tvnep import fixed_schedule, greedy_csigma
 
         from ..tvnep.reference_greedy import assert_matches_reference
 
@@ -251,7 +251,7 @@ class TestEnumerativeGreedyTelemetry:
         capsys.readouterr()
         loaded = load_instance(instance)
         args = (loaded.substrate, loaded.requests, loaded.node_mappings)
-        assert_matches_reference(greedy_enumerative(*args), *args)
+        assert_matches_reference(greedy_csigma(*args), *args)
         with mock.patch.object(
             fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
         ) as lp:
@@ -260,7 +260,7 @@ class TestEnumerativeGreedyTelemetry:
                     "solve",
                     str(instance),
                     "--model",
-                    "greedy-enum",
+                    "greedy",
                     "--trace",
                     str(trace_path),
                     "--metrics-summary",

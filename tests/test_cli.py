@@ -67,9 +67,11 @@ class TestSolve:
         assert payload["format"] == "tvnep-solution"
 
     def test_greedy_variants(self, instance_path, capsys):
-        for model in ("greedy", "greedy-enum"):
-            assert main(["solve", str(instance_path), "--model", model]) == 0
-            assert "embedded" in capsys.readouterr().out
+        assert main(["solve", str(instance_path), "--model", "greedy"]) == 0
+        assert "embedded" in capsys.readouterr().out
+        # the enumerative greedy is the greedy now; its old name is gone
+        with pytest.raises(SystemExit):
+            main(["solve", str(instance_path), "--model", "greedy-enum"])
 
     def test_discrete_model(self, instance_path, capsys):
         code = main(
@@ -161,11 +163,10 @@ class TestErrorHandling:
     def test_solver_error_is_one_line_diagnostic(self, instance_path, capsys):
         from repro.runtime import inject_faults
 
+        # the greedy solves no MILP, so fail the exact model's solve
         with inject_faults("highs", always="error"):
             with inject_faults("bnb", always="error"):
-                code = main(
-                    ["solve", str(instance_path), "--model", "greedy"]
-                )
+                code = main(["solve", str(instance_path)])
         assert code != 0
         err = capsys.readouterr().err
         assert "error:" in err or "no solution" in err

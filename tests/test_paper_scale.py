@@ -62,7 +62,6 @@ class TestPaperScale:
             scenario.substrate,
             scenario.requests,
             scenario.node_mappings,
-            time_limit_per_iteration=30,
         )
         assert verify_solution(greedy.solution).feasible
         assert greedy.solution.objective <= exact.objective + 1e-5

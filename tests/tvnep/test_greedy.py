@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from repro.network import (
     line_substrate,
 )
 from repro.network.topologies import star
-from repro.tvnep import CSigmaModel, greedy_csigma, verify_solution
+from repro.observability.metrics import MetricsRegistry, use_registry
+from repro.tvnep import CSigmaModel, fixed_schedule, greedy_csigma, verify_solution
 from repro.vnep import random_node_mapping
 from repro.workloads import small_scenario
 
@@ -174,8 +177,8 @@ def test_greedy_always_feasible_and_bounded_by_exact(instance):
 
 class TestHarshTimeLimits:
     def test_tiny_iteration_budget_still_covers_all_requests(self):
-        """Iterations that time out without an incumbent conservatively
-        reject, and the final solution still covers every request."""
+        """Requests left when the budget runs out are rejected untested,
+        and the final solution still covers every request."""
         from repro.workloads import small_scenario
 
         scenario = small_scenario(0, num_requests=5).with_flexibility(2.0)
@@ -183,7 +186,7 @@ class TestHarshTimeLimits:
             scenario.substrate,
             scenario.requests,
             scenario.node_mappings,
-            time_limit_per_iteration=1e-4,
+            time_limit=1e-4,
         )
         assert len(result.solution.scheduled) == 5
         assert verify_solution(result.solution).feasible
@@ -191,7 +194,7 @@ class TestHarshTimeLimits:
 
 class TestGlobalBudget:
     def test_expired_budget_rejects_without_solving_iterations(self):
-        from repro.runtime import SolveBudget, get_backend
+        from repro.runtime import SolveBudget
 
         sub = one_node()
         reqs = [unit_request("A", 0, 4, 2), unit_request("B", 0, 4, 2)]
@@ -199,43 +202,19 @@ class TestGlobalBudget:
         budget = SolveBudget(10.0, clock=lambda: now[0])
         now[0] = 20.0  # already past the deadline
 
-        calls: list[float | None] = []
-
-        def counting(model, **kwargs):
-            calls.append(kwargs.get("time_limit"))
-            return get_backend("highs")(model, **kwargs)
-
-        result = greedy_csigma(
-            sub, reqs, unit_mappings(reqs), backend=counting, budget=budget
-        )
-        # every iteration was skipped; only the final (grace-period)
-        # extraction solve ran
-        assert len(calls) == 1
+        registry = MetricsRegistry()
+        with use_registry(registry), mock.patch.object(
+            fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
+        ) as lp:
+            result = greedy_csigma(sub, reqs, unit_mappings(reqs), budget=budget)
+        # every request was rejected untested, so nothing was solved
+        assert lp.call_count == 0
+        assert registry.counter("fixed_schedule.path_accepts") == 0
+        assert registry.counter("greedy.rejected") == 2
+        assert result.iteration_runtimes == [0.0, 0.0]
         assert result.solution.num_embedded == 0
         assert len(result.solution.scheduled) == 2
         assert verify_solution(result.solution).feasible
-
-    def test_budget_divides_across_iterations(self):
-        from repro.runtime import SolveBudget, get_backend
-
-        sub = one_node(cap=2.0)
-        reqs = [unit_request(n, 0, 8, 2) for n in "ABCD"]
-        budget = SolveBudget(100.0, clock=lambda: 0.0)  # frozen clock
-
-        limits: list[float | None] = []
-
-        def counting(model, **kwargs):
-            limits.append(kwargs.get("time_limit"))
-            return get_backend("highs")(model, **kwargs)
-
-        result = greedy_csigma(
-            sub, reqs, unit_mappings(reqs), backend=counting, budget=budget
-        )
-        assert result.solution.num_embedded == 4
-        # four iterations (fair shares of the remaining budget) + final
-        assert len(limits) == 5
-        for limit in limits[:-1]:
-            assert limit is not None and limit <= 100.0
 
     def test_time_limit_builds_a_budget(self):
         sub = one_node()
@@ -244,62 +223,120 @@ class TestGlobalBudget:
         assert result.solution.num_embedded == 1
         assert verify_solution(result.solution).feasible
 
-    def test_iteration_solver_error_rejects_and_continues(self):
-        from repro.runtime import FaultMode, inject_faults
-
-        sub = one_node()
-        reqs = [unit_request("A", 0, 4, 2), unit_request("B", 0, 4, 2)]
-        # first iteration's solve dies; the second and final are clean
-        with inject_faults("highs", script={1: FaultMode.ERROR}):
-            result = greedy_csigma(sub, reqs, unit_mappings(reqs))
-        assert result.solution.num_embedded == 1
-        assert not result.solution["A"].embedded
-        assert result.solution["B"].embedded
-        assert verify_solution(result.solution).feasible
-
 
 class TestErrorsSurface:
-    def test_backend_type_error_propagates_without_a_retry(self):
-        from repro.runtime import get_backend
-
-        scenario = small_scenario(0, num_requests=3).with_flexibility(1.0)
-        calls: list[int] = []
-
-        def flaky(model, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise TypeError("bug inside the backend")
-            return get_backend("highs")(model, **kwargs)
-
-        with pytest.raises(TypeError, match="bug inside the backend"):
-            greedy_csigma(
-                scenario.substrate,
-                scenario.requests,
-                scenario.node_mappings,
-                backend=flaky,
-            )
-        assert len(calls) == 2
-
     def test_unbuildable_embedding_raises_before_further_solves(self):
-        from repro.runtime import get_backend
-
         scenario = small_scenario(0, num_requests=4)
         mappings = dict(scenario.node_mappings)
         mappings["R01"] = {v: "no-such-node" for v in mappings["R01"]}
-        calls: list[int] = []
-
-        def counting(model, **kwargs):
-            calls.append(1)
-            return get_backend("highs")(model, **kwargs)
-
-        with pytest.raises(ModelingError, match="R01"):
-            greedy_csigma(
-                scenario.substrate, scenario.requests, mappings, backend=counting
-            )
-        # only the requests ordered before R01 were solved
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(ModelingError, match="R01"):
+            greedy_csigma(scenario.substrate, scenario.requests, mappings)
+        # the loop stopped at R01: only the requests ordered before it
+        # were decided
         bad_start = next(
             r.earliest_start for r in scenario.requests if r.name == "R01"
         )
         earlier = [r for r in scenario.requests if r.earliest_start < bad_start]
         assert earlier
-        assert len(calls) == len(earlier)
+        assert registry.counter("greedy.iterations") == len(earlier) + 1
+        decided = registry.counter("greedy.accepted") + registry.counter(
+            "greedy.rejected"
+        )
+        assert decided == len(earlier)
+
+    def test_lp_failure_propagates(self):
+        scenario = small_scenario(0, num_requests=3).with_flexibility(1.0)
+        with mock.patch.object(
+            fixed_schedule, "solve_highs", side_effect=SolverError("LP died")
+        ):
+            with pytest.raises(SolverError, match="LP died"):
+                greedy_csigma(
+                    scenario.substrate, scenario.requests, scenario.node_mappings
+                )
+
+
+#: Outcomes of the historical fresh-model-per-iteration MIP loop, which
+#: the admission loop matches exactly: ``(accepted order, objective,
+#: {name: (embedded, start, end)})``.
+GREEDY_OUTCOMES = {
+    0: (
+        ["R00", "R01", "R03"],
+        30.31637090810265,
+        {
+            "R00": (True, 0.6799319039689098, 3.233314315327134),
+            "R01": (True, 1.6995290054347743, 3.340970996693962),
+            "R02": (False, 1.7193356680238296, 3.4574971770043863),
+            "R03": (True, 1.7216049947050576, 5.07826165219967),
+            "R04": (False, 2.271947867344106, 7.194448484080511),
+        },
+    ),
+    1: (
+        ["R00", "R01", "R02", "R03", "R04"],
+        34.53731148284954,
+        {
+            "R00": (True, 1.0730290263725388, 3.7561593516871983),
+            "R01": (True, 1.381482170497823, 2.7937698152139396),
+            "R02": (True, 6.756919043105951, 8.242074087973263),
+            "R03": (True, 7.123346156005781, 7.468097904150883),
+            "R04": (True, 7.238708195112585, 8.98692617914278),
+        },
+    ),
+    2: (
+        ["R00", "R02", "R03", "R04"],
+        27.40270637601431,
+        {
+            "R00": (True, 0.1298611360039863, 2.4448326197698873),
+            "R01": (False, 0.34864400252205674, 1.3438621491792238),
+            "R02": (True, 0.8621229959064691, 1.6975555099900457),
+            "R03": (True, 1.5696107998980777, 2.9917921675068486),
+            "R04": (True, 2.7827652247077204, 4.299566623684647),
+        },
+    ),
+}
+#: the same MIP loop run on the ``bnb`` backend
+BNB_GREEDY_OUTCOME = (
+    ["R01", "R02"],
+    19.088357624109307,
+    {
+        "R00": (False, 0.6799319039689096, 2.1636338587280832),
+        "R01": (True, 1.6995290054347745, 4.252911416792999),
+        "R02": (True, 1.71933566802383, 3.360777659283018),
+        "R03": (False, 1.7216049947050578, 3.4597665036856142),
+    },
+)
+
+
+def assert_outcome(order, solution, expected) -> None:
+    expected_order, expected_objective, expected_schedules = expected
+    assert order == expected_order
+    assert solution.objective == pytest.approx(expected_objective, abs=1e-6)
+    assert set(solution.scheduled) == set(expected_schedules)
+    for name, (embedded, start, end) in expected_schedules.items():
+        sched = solution.scheduled[name]
+        assert sched.embedded is embedded, name
+        assert sched.start == pytest.approx(start, abs=1e-6), name
+        assert sched.end == pytest.approx(end, abs=1e-6), name
+
+
+class TestPinnedOutcomes:
+    """End-to-end: the admission loop reproduces the pinned outcomes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_greedy_reproduces_pinned_outcome(self, seed):
+        scenario = small_scenario(seed, num_requests=5).with_flexibility(1.0)
+        result = greedy_csigma(
+            scenario.substrate,
+            scenario.requests,
+            fixed_mappings=scenario.node_mappings,
+        )
+        assert_outcome(result.accepted_order, result.solution, GREEDY_OUTCOMES[seed])
+
+    def test_greedy_reproduces_bnb_pinned_outcome(self):
+        scenario = small_scenario(0, num_requests=4).with_flexibility(1.0)
+        result = greedy_csigma(
+            scenario.substrate,
+            scenario.requests,
+            fixed_mappings=scenario.node_mappings,
+        )
+        assert_outcome(result.accepted_order, result.solution, BNB_GREEDY_OUTCOME)

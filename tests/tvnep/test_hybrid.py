@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelingError, SolverError, ValidationError
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
+from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.tvnep import CSigmaModel, verify_solution
 from repro.tvnep.hybrid import hybrid_heavy_hitters
 from repro.workloads import small_scenario
+
+from .test_greedy import assert_outcome
 
 
 def unit_request(name, t_s, t_e, d, demand=1.0):
@@ -74,29 +77,44 @@ class TestSplit:
 
 class TestErrorsSurface:
     def test_unbuildable_embedding_raises_before_further_solves(self):
-        from repro.runtime import get_backend
-
         scenario = small_scenario(0, num_requests=4)
         # R01 carries the most revenue and is the one heavy-hitter, so
         # break the small request R02 (small order: R00, R02, R03)
         mappings = dict(scenario.node_mappings)
         mappings["R02"] = {v: "no-such-node" for v in mappings["R02"]}
-        calls: list[int] = []
-
-        def counting(model, **kwargs):
-            calls.append(1)
-            return get_backend("highs")(model, **kwargs)
-
-        with pytest.raises(ModelingError, match="R02"):
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(ModelingError, match="R02"):
             hybrid_heavy_hitters(
                 scenario.substrate,
                 scenario.requests,
                 mappings,
                 heavy_fraction=0.25,
-                backend=counting,
             )
-        # the exact phase and R00's insertion; nothing after R02
-        assert len(calls) == 2
+        # R00 was decided; the insertions stopped at R02
+        assert registry.counter("hybrid.insertions") == 2
+        decided = registry.counter("hybrid.accepted") + registry.counter(
+            "hybrid.rejected"
+        )
+        assert decided == 1
+
+    def test_exact_placements_that_do_not_fit_raise(self):
+        from unittest import mock
+
+        from repro.tvnep import ScheduledRequest, TemporalSolution
+
+        sub = one_node()
+        reqs = [unit_request("a", 0, 4, 2), unit_request("b", 0, 4, 2)]
+        # an exact phase that claims both at once on a unit-capacity node
+        overlapping = TemporalSolution(
+            sub,
+            {
+                r.name: ScheduledRequest(r, True, 0.0, 2.0, {"v": "s"})
+                for r in reqs
+            },
+        )
+        with mock.patch.object(CSigmaModel, "solve", return_value=overlapping):
+            with pytest.raises(SolverError, match="does not fit"):
+                hybrid_heavy_hitters(sub, reqs, unit_mappings(reqs), heavy_fraction=1.0)
 
 
 class TestQuality:
@@ -191,23 +209,23 @@ class TestGlobalBudget:
         assert verify_solution(result.solution).feasible
         assert result.solution.num_embedded == 4
 
-    def test_insertion_fault_rejects_and_continues(self):
-        from repro.runtime import inject_faults
 
-        sub = one_node(cap=2.0)
-        reqs = [unit_request(n, 0, 8, 2) for n in "ABCD"]
-        # heavy exact solve is call 1; poison the second insertion solve
-        with inject_faults("highs", script={3: "error"}):
-            result = hybrid_heavy_hitters(
-                sub, reqs, unit_mappings(reqs), heavy_fraction=0.25
-            )
-        assert verify_solution(result.solution).feasible
-        # one insertion was rejected by the injected failure
-        assert result.solution.num_embedded == 3
+#: all heavy; the exact times of this solution meet back to back only up
+#: to solver noise, which the seeded admission must not read as overlap
+BACK_TO_BACK = (
+    1.0,
+    1.0,
+    [
+        unit_request("R0", 1, 2, 1, 1.0),
+        unit_request("R1", 1, 4, 1, 1.0),
+        unit_request("R2", 0, 5, 2, 0.5),
+    ],
+)
 
 
 @settings(max_examples=10, deadline=None)
 @given(hybrid_instance())
+@example(BACK_TO_BACK)
 def test_hybrid_always_feasible_and_bounded(params):
     cap, fraction, reqs = params
     sub = one_node(cap)
@@ -216,3 +234,35 @@ def test_hybrid_always_feasible_and_bounded(params):
     assert verify_solution(result.solution).feasible
     exact = CSigmaModel(sub, reqs, fixed_mappings=mappings).solve(time_limit=60)
     assert result.solution.objective <= exact.objective + 1e-5
+
+
+#: Outcome of the historical per-insertion MIP loop, which the admission
+#: loop matches exactly: ``(request order in the solution, objective,
+#: {name: (embedded, start, end)})``, the order being the heavy-hitters
+#: by revenue, then the small requests by earliest start.
+HYBRID_OUTCOME = (
+    ["R05", "R02", "R00", "R01", "R03", "R04"],
+    35.717252994116436,
+    {
+        "R05": (True, 5.7006900823925655, 9.360000665545275),
+        "R02": (True, 1.8992126443709818, 3.900173980287982),
+        "R00": (True, 0.11001481267803959, 1.428417655614922),
+        "R01": (True, 0.4996716862517435, 1.140275370404153),
+        "R03": (True, 4.099360740152362, 4.614367689170664),
+        "R04": (False, 4.4428545593206845, 5.786372899731656),
+    },
+)
+
+
+class TestPinnedOutcomes:
+    def test_hybrid_reproduces_pinned_outcome(self):
+        scenario = small_scenario(3, num_requests=6).with_flexibility(1.0)
+        result = hybrid_heavy_hitters(
+            scenario.substrate,
+            scenario.requests,
+            fixed_mappings=scenario.node_mappings,
+            heavy_fraction=0.34,
+        )
+        assert_outcome(
+            list(result.solution.scheduled), result.solution, HYBRID_OUTCOME
+        )

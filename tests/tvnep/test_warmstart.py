@@ -1,14 +1,12 @@
-"""Warm starts at the TVNEP layer: schedule reconstruction, validation,
-and the standard-form cache wins of the incremental greedy loop."""
+"""Warm starts at the TVNEP layer: schedule reconstruction and validation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mip import solve_bnb, standard_form_cache_stats
+from repro.mip import solve_bnb
 from repro.observability import MetricsRegistry, SolveTrace, use_registry, use_trace
-from repro.tvnep import CSigmaModel, greedy_csigma
-from repro.tvnep.greedy import _link_flow_values
+from repro.tvnep import CSigmaModel
 from repro.tvnep.warmstart import schedule_warm_start, validated_warm_start
 from repro.workloads import small_scenario
 
@@ -31,6 +29,15 @@ def scenario_and_model(seed=0, num_requests=3, flexibility=1.0):
         fixed_mappings=scenario.node_mappings,
     )
     return scenario, model
+
+
+def link_flow_values(raw):
+    """The ``x_E`` values of a raw solution, by variable name."""
+    return {
+        var.name: value
+        for var, value in raw.values.items()
+        if var.name.startswith("xE[")
+    }
 
 
 def solution_schedule(scenario, solution):
@@ -62,7 +69,7 @@ class TestScheduleWarmStart:
         # link flows come from the previous solve — the schedule alone
         # does not determine them (greedy threads them the same way)
         warm = validated_warm_start(
-            model, solution_schedule(scenario, solution), _link_flow_values(raw)
+            model, solution_schedule(scenario, solution), link_flow_values(raw)
         )
         assert warm is not None
         assert fresh_registry.counter("warmstart.validated") == 1
@@ -95,18 +102,3 @@ class TestScheduleWarmStart:
         assert validated_warm_start(model, schedule) is None
         assert fresh_registry.counter("warmstart.discarded") == 1
         assert fresh_registry.counter("warmstart.validated") == 0
-
-
-class TestGreedyCacheWins:
-    def test_greedy_run_hits_the_standard_form_cache(self):
-        # acceptance criterion: the warm-start validation compiles each
-        # iteration's form once, the backend solve then reuses it — a
-        # strictly positive hit rate over the whole greedy run
-        scenario = small_scenario(0, num_requests=4).with_flexibility(1.0)
-        result = greedy_csigma(
-            scenario.substrate, scenario.requests, scenario.node_mappings
-        )
-        assert result.solution is not None
-        stats = standard_form_cache_stats()
-        assert stats["hits"] > 0
-        assert stats["hit_rate"] > 0.0
