@@ -216,6 +216,8 @@ class BranchAndBoundSolver:
 
             with metrics.timer("phase.presolve"):
                 presolved = tighten_bounds(form, root_lb, root_ub)
+            metrics.inc("presolve.rows_visited", presolved.rows_visited)
+            metrics.inc("presolve.rows_skipped", presolved.rows_skipped)
             if trace is not None:
                 tightened = int(
                     np.count_nonzero(presolved.lb != root_lb)
@@ -225,6 +227,8 @@ class BranchAndBoundSolver:
                     "presolve",
                     feasible=bool(presolved.feasible),
                     tightened_bounds=tightened,
+                    rounds=presolved.rounds,
+                    rows_visited=presolved.rows_visited,
                 )
             if not presolved.feasible:
                 return self._finish(

@@ -51,7 +51,7 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
     },
     "presolve": {
         "required": {"feasible": "bool"},
-        "optional": {"tightened_bounds": "int"},
+        "optional": {"tightened_bounds": "int", "rounds": "int", "rows_visited": "int"},
     },
     "root_relaxation": {
         "required": {"status": "str"},

@@ -276,3 +276,39 @@ class TestEnumerativeGreedyTelemetry:
         assert "greedy.accepted 3" in summary
         assert not any(line.startswith("cache.") for line in summary)
         assert validate_trace_file(trace_path) == []
+
+
+# ---------------------------------------------------------------------------
+# the bnb root presolve reports how many row visits it skipped
+# ---------------------------------------------------------------------------
+class TestBnbPresolveTelemetry:
+    def test_cli_presolve_event_and_counters_pinned(self, tmp_path, capsys):
+        """The CI ``bnb trace`` step, with the smoke instance's numbers.
+
+        The 3-request instance presolves in 2 rounds with 16 tightenings
+        over 174 rows: all 174 run in round 1, 19 in round 2.
+        """
+        from repro.cli import main
+
+        instance = tmp_path / "instance.json"
+        trace_path = tmp_path / "trace.jsonl"
+        generate = ["generate", "--seed", "0", "--num-requests", "3"]
+        assert main([*generate, "-o", str(instance)]) == 0
+        capsys.readouterr()
+        solve = ["solve", str(instance), "--backend", "bnb"]
+        code = main([*solve, "--trace", str(trace_path), "--metrics-summary"])
+        assert code == 0
+        assert validate_trace_file(trace_path) == []
+        events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        (presolve,) = [e for e in events if e["event"] == "presolve"]
+        assert presolve == {
+            "event": "presolve",
+            "feasible": True,
+            "rounds": 2,
+            "rows_visited": 193,
+            "seq": presolve["seq"],
+            "tightened_bounds": 13,
+        }
+        summary = capsys.readouterr().out.splitlines()
+        assert "presolve.rows_visited 193" in summary
+        assert "presolve.rows_skipped 155" in summary
