@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level",
         choices=["debug", "info", "warning", "error"],
         default="warning",
-        help="verbosity of the repro.runtime resilience log",
+        help="verbosity of the repro.runtime log",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,9 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="access_control",
     )
     solve.add_argument("--time-limit", type=float, default=None)
-    solve.add_argument(
-        "--backend", choices=["highs", "bnb", "resilient"], default="highs"
-    )
+    solve.add_argument("--backend", choices=["highs", "bnb"], default="highs")
     solve.add_argument(
         "--wall-clock-budget",
         type=float,
@@ -121,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="global wall-clock budget [s] for the whole sweep",
-    )
-    evaluate.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="disable the backend fallback chain (fail cells instead)",
     )
     evaluate.add_argument(
         "--workers",
@@ -267,8 +260,6 @@ def _run_solve(args: argparse.Namespace) -> int:
         )
 
     print(solution.summary())
-    if getattr(solution, "rung", ""):
-        print(f"answered by fallback rung: {solution.rung}")
     if math.isnan(solution.objective):
         print("no solution found", file=sys.stderr)
         return 1
@@ -340,8 +331,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         config = replace(config, time_limit=args.time_limit)
     if args.wall_clock_budget is not None:
         config = replace(config, wall_clock_budget=args.wall_clock_budget)
-    if args.no_fallback:
-        config = replace(config, fallback=False)
     if args.workers != 1:
         config = replace(config, workers=args.workers)
 

@@ -62,9 +62,6 @@ class EvaluationConfig:
     backend: str = "highs"
     load_fraction: float = 0.5
     num_requests: int = 6
-    #: route every solve through the HiGHS -> branch-and-bound fallback
-    #: chain; failed access-control cells additionally degrade to greedy
-    fallback: bool = True
     #: global wall-clock budget [s] for the whole sweep (None: unbounded).
     #: Cells hit by budget exhaustion are *skipped without persisting*
     #: so a resumed run completes them later.
@@ -462,17 +459,22 @@ class Evaluation:
             fmt="{:.1%}",
         )
 
-    def figure8_accepted(self) -> str:
-        """Requests embedded by cSigma per flexibility (Figure 8)."""
+    def _accepted_series(self) -> dict:
+        """Figure 8's series; a cell without an incumbent is missing
+        data, not zero accepted requests."""
         self.run_access_control()
-        series = {
+        return {
             "csigma": series_over_flexibility(
                 [r for r in self.access_records if r.algorithm == "csigma"],
-                lambda r: float(r.num_embedded),
+                lambda r: float(r.num_embedded) if r.solved else math.nan,
             )
         }
+
+    def figure8_accepted(self) -> str:
+        """Requests embedded by cSigma per flexibility (Figure 8)."""
         return render_flexibility_figure(
-            "Figure 8 — number of requests embedded by cSigma", series
+            "Figure 8 — number of requests embedded by cSigma",
+            self._accepted_series(),
         )
 
     def figure9_improvement(self) -> str:
@@ -526,15 +528,8 @@ class Evaluation:
         """Figure 8 as a bar chart."""
         from repro.evaluation.charts import series_chart
 
-        self.run_access_control()
-        series = {
-            "csigma": series_over_flexibility(
-                [r for r in self.access_records if r.algorithm == "csigma"],
-                lambda r: float(r.num_embedded),
-            )
-        }
         return series_chart(
-            series, title="Figure 8 (chart) — requests embedded"
+            self._accepted_series(), title="Figure 8 (chart) — requests embedded"
         )
 
     def render_all(self, charts: bool = False) -> str:

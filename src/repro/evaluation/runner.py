@@ -5,26 +5,22 @@ one (scenario, flexibility, algorithm, objective) cell: runtime,
 objective value, branch-and-bound gap, acceptance count, and whether
 the independent verifier approved the extracted solution.
 
-Resilience (see :mod:`repro.runtime`): ``run_exact``/``run_greedy``
-accept a global :class:`~repro.runtime.budget.SolveBudget`; ``run_exact``
-can route through the HiGHS → branch-and-bound fallback chain
-(``fallback=True``) and degrade all the way to the
-greedy heuristic (``degrade_to_greedy=True``) when no exact backend
-produced an incumbent — the record is then tagged with the rung that
-actually answered.  A cell that fails terminally is captured by
-:func:`error_record` so a sweep persists the failure and moves on.
+``run_exact``/``run_greedy`` accept a global
+:class:`~repro.runtime.budget.SolveBudget`.  ``run_exact`` solves once,
+on the backend the caller named, and records what that backend
+returned: an incumbent (``"solved"``) or none (``"no_solution"``).  A
+cell whose solve raises is captured by :func:`error_record` so a sweep
+persists the failure and moves on.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ValidationError
 from repro.runtime.budget import SolveBudget
-from repro.runtime.resilient import default_chain
 from repro.tvnep.base import ModelOptions, TemporalModelBase
 from repro.tvnep.csigma_model import CSigmaModel
 from repro.tvnep.delta_model import DeltaModel
@@ -43,8 +39,6 @@ __all__ = [
     "error_record",
 ]
 
-logger = logging.getLogger("repro.runtime")
-
 #: formulation name -> model class
 MODEL_REGISTRY: dict[str, type[TemporalModelBase]] = {
     "delta": DeltaModel,
@@ -57,11 +51,8 @@ MODEL_REGISTRY: dict[str, type[TemporalModelBase]] = {
 class RunRecord:
     """One evaluation cell (a single solve).
 
-    ``status`` is ``"solved"``, ``"no_solution"``, ``"degraded"`` (the
-    greedy rung answered for a failed exact solve) or ``"error"``
-    (nothing answered; ``error`` carries the diagnostic).  ``rung``
-    names the fallback-chain rung that produced the result — empty for
-    a plain first-choice solve.
+    ``status`` is ``"solved"``, ``"no_solution"`` or ``"error"``
+    (the solve failed; ``error`` carries the diagnostic).
     """
 
     scenario: str
@@ -78,7 +69,6 @@ class RunRecord:
     status: str = ""
     verified_feasible: bool = False
     model_stats: dict = field(default_factory=dict)
-    rung: str = ""
     error: str = ""
     #: solver-effort summary for the cell (see
     #: ``repro.observability.telemetry_block``); ``wall_ms`` is the only
@@ -132,17 +122,9 @@ def _record_from_solution(
     solution: TemporalSolution,
     model_stats: dict | None = None,
     check_windows: bool = True,
-    status: str | None = None,
 ) -> RunRecord:
     report = verify_solution(solution, check_windows=check_windows)
-    if status is None:
-        if solution.status == "error":
-            status = "error"
-        elif math.isnan(solution.objective):
-            status = "no_solution"
-        else:
-            status = "solved"
-    if status == "error":
+    if solution.status == "error":
         # an errored solve has no incumbent to report, even if the
         # producing algorithm fabricated an all-rejected placeholder
         return RunRecord(
@@ -154,7 +136,6 @@ def _record_from_solution(
             runtime=solution.runtime,
             num_requests=len(solution.scheduled),
             status="error",
-            rung=solution.rung,
             error="solver reported an error status",
         )
     return RunRecord(
@@ -169,18 +150,10 @@ def _record_from_solution(
         num_embedded=solution.num_embedded,
         num_requests=len(solution.scheduled),
         node_count=solution.node_count,
-        status=status,
+        status="no_solution" if math.isnan(solution.objective) else "solved",
         verified_feasible=report.feasible,
         model_stats=model_stats or {},
-        rung=solution.rung,
     )
-
-
-def _resolve_backend(backend, fallback: bool):
-    """Wrap a named backend in the default fallback chain if requested."""
-    if fallback and isinstance(backend, str) and backend != "resilient":
-        return default_chain(primary=backend)
-    return backend
 
 
 def run_exact(
@@ -193,8 +166,6 @@ def run_exact(
     force_embedded: tuple[str, ...] = (),
     objective_kwargs: dict | None = None,
     budget: SolveBudget | None = None,
-    fallback: bool = False,
-    degrade_to_greedy: bool = False,
 ) -> tuple[RunRecord, TemporalSolution]:
     """Build and solve one exact model on a scenario.
 
@@ -211,20 +182,11 @@ def run_exact(
     time_limit:
         Per-solve wall-clock limit (the paper used one hour).
     backend:
-        Backend name or callable.
+        Backend name or callable.  The solve runs once, on this backend;
+        an error it raises propagates.
     budget:
         Global wall-clock budget; tightens ``time_limit`` to the
         remaining sweep time.
-    fallback:
-        Route the solve through the HiGHS → branch-and-bound fallback
-        chain (:func:`repro.runtime.resilient.default_chain`) so single
-        backend failures degrade instead of raising.
-    degrade_to_greedy:
-        When the exact solve ends without an incumbent and the
-        objective is access control, answer with the greedy heuristic
-        instead (the record is tagged ``status="degraded"``,
-        ``rung="greedy"``) — the last rung of the paper-style
-        degrade-gracefully chain.
     """
     try:
         model_cls = MODEL_REGISTRY[algorithm]
@@ -239,7 +201,6 @@ def run_exact(
             f"unknown objective {objective!r}; expected {sorted(OBJECTIVES)}"
         ) from None
 
-    backend = _resolve_backend(backend, fallback)
     kwargs: dict = {"fixed_mappings": scenario.node_mappings}
     if options is not None:
         kwargs["options"] = options
@@ -248,17 +209,6 @@ def run_exact(
     model = model_cls(scenario.substrate, scenario.requests, **kwargs)
     objective_fn(model, **(objective_kwargs or {}))
     solution = model.solve(backend=backend, time_limit=time_limit, budget=budget)
-
-    if (
-        degrade_to_greedy
-        and math.isnan(solution.objective)
-        and objective == "access_control"
-        and scenario.node_mappings
-    ):
-        degraded = _degrade_to_greedy(scenario, algorithm, time_limit, budget)
-        if degraded is not None:
-            return degraded
-
     record = _record_from_solution(
         scenario,
         algorithm,
@@ -269,46 +219,6 @@ def run_exact(
         # defaults; window checks only make sense for embedded ones
         check_windows=(objective == "access_control"),
     )
-    return record, solution
-
-
-def _degrade_to_greedy(
-    scenario: Scenario,
-    algorithm: str,
-    time_limit: float | None,
-    budget: SolveBudget | None,
-) -> tuple[RunRecord, TemporalSolution] | None:
-    """The greedy heuristic as the degraded-mode answer for a failed
-    exact solve; ``None`` when the greedy fails too."""
-    logger.warning(
-        "exact %s solve on %s produced no incumbent; degrading to greedy",
-        algorithm,
-        scenario.label,
-    )
-    try:
-        result = greedy_csigma(
-            scenario.substrate,
-            scenario.requests,
-            scenario.node_mappings,
-            time_limit=time_limit if budget is None else None,
-            budget=budget,
-        )
-    except ReproError as exc:
-        logger.warning("greedy degraded-mode answer failed too: %s", exc)
-        return None
-    solution = result.solution
-    if solution.status == "error" or math.isnan(solution.objective):
-        # the greedy found nothing either; let the exact record stand
-        return None
-    solution.rung = "greedy"
-    record = _record_from_solution(
-        scenario,
-        algorithm,
-        "access_control",
-        solution,
-        status="degraded",
-    )
-    record.rung = "greedy"
     return record, solution
 
 

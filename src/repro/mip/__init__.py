@@ -73,11 +73,11 @@ def solve(model, backend="highs", **kwargs):
         The :class:`Model` to solve.
     backend:
         A name from the :mod:`repro.runtime.backends` registry —
-        ``"highs"`` (default, exact branch-and-cut via SciPy),
-        ``"bnb"`` (pure-Python branch-and-bound), ``"resilient"``
-        (the default HiGHS → B&B fallback chain) — or any callable
-        with the backend signature, e.g. a configured
-        :class:`~repro.runtime.resilient.ResilientBackend`.
+        ``"highs"`` (default, exact branch-and-cut via SciPy) or
+        ``"bnb"`` (pure-Python branch-and-bound) — or any callable
+        with the backend signature, e.g. a fault-injecting
+        :class:`~repro.runtime.faults.FaultInjector`.  The backend runs
+        once; its answer or its error is the caller's.
     **kwargs:
         Forwarded to the backend (``time_limit``, ``budget``,
         ``mip_gap``, ``node_limit``, and for ``bnb`` also

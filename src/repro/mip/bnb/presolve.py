@@ -79,7 +79,10 @@ def tighten_bounds(
         With ``feasible=False`` when propagation proves the box empty;
         ``lb``/``ub`` then hold the bounds as far as the sweep got.
     """
-    A = form.A.tocsr()
+    # a stored 0.0 coefficient constrains nothing; dropping it here
+    # means no division below sees a zero divisor
+    A = form.A.tocsr(copy=True)
+    A.eliminate_zeros()
     indptr = A.indptr.tolist()
     indices = A.indices.tolist()
     data = np.asarray(A.data, dtype=float).tolist()
@@ -182,7 +185,7 @@ def _sweep(row_cols, row_coefs, row_lb, row_ub, col_rows, integral, lbs, ubs, ma
                             rest_min = neg_inf if num_min_inf else min_finite_sum - term
                         # a * x_j <= row_hi - rest_min
                         if math.isfinite(rest_min):
-                            bound = _divide(row_hi - rest_min, a)
+                            bound = (row_hi - rest_min) / a
                             if a > 0:
                                 if bound < ubs[j] - 1e-9:
                                     ubs[j] = float(_round_in(bound, integral[j], up=False))
@@ -200,7 +203,7 @@ def _sweep(row_cols, row_coefs, row_lb, row_ub, col_rows, integral, lbs, ubs, ma
                             rest_max = pos_inf if num_max_inf else max_finite_sum - term
                         # a * x_j >= row_lo - rest_max
                         if math.isfinite(rest_max):
-                            bound = _divide(row_lo - rest_max, a)
+                            bound = (row_lo - rest_max) / a
                             if a > 0:
                                 if bound > lbs[j] + 1e-9:
                                     lbs[j] = float(_round_in(bound, integral[j], up=True))
@@ -219,20 +222,6 @@ def _sweep(row_cols, row_coefs, row_lb, row_ub, col_rows, integral, lbs, ubs, ma
         if changed == 0:
             break
     return True, total, rounds, visited, skipped
-
-
-def _divide(numerator: float, a: float) -> float:
-    """``numerator / a`` with numpy's float64 semantics at ``a == 0``.
-
-    ``StandardForm.A`` can store an explicit zero coefficient; numpy
-    divides by it to ``±inf`` (``nan`` for ``0 / 0``) where Python raises
-    ``ZeroDivisionError``.
-    """
-    if a:
-        return numerator / a
-    if numerator == 0 or math.isnan(numerator):
-        return math.nan
-    return math.copysign(math.inf, numerator) * math.copysign(1.0, a)
 
 
 def _numpy_sum(terms: list[float]) -> float:

@@ -57,10 +57,9 @@ def solve(
     model:
         The model to solve.
     warm_start:
-        Accepted for backend-signature compatibility so callers (the
-        resilient fallback chain, the greedy incremental loop) can pass
-        warm starts uniformly; :func:`scipy.optimize.milp` offers no
-        warm-start interface, so it is ignored here.  The ``bnb``
+        Accepted for backend-signature compatibility, so a caller can
+        pass a warm start to any backend; :func:`scipy.optimize.milp`
+        offers no warm-start interface, so it is ignored here.  The ``bnb``
         backend uses it as its initial incumbent.
     time_limit:
         Wall-clock limit in seconds; on expiry the best incumbent (if

@@ -476,8 +476,8 @@ class Model:
         """Compile to the matrix form consumed by the solver backends.
 
         The result is memoized: repeated calls on an unmutated model
-        return the *same* :class:`StandardForm` object, so backend
-        chains (HiGHS solve → relaxation, resilient rungs, warm-start
+        return the *same* :class:`StandardForm` object, so successive
+        consumers of one model (HiGHS solve → relaxation, warm-start
         validation) share one matrix assembly and any per-form caches
         attached to it.  Any mutation (new variable/constraint, new
         objective, :meth:`fix_var`) invalidates the memo.  Callers must
@@ -646,8 +646,8 @@ class Model:
         """Solve this model via the backend registry.
 
         Thin convenience over :func:`repro.mip.solve`; ``backend`` may
-        be a registered name (``"highs"``, ``"bnb"``, ``"resilient"``)
-        or any backend callable, and ``kwargs`` (``time_limit``,
+        be a registered name (``"highs"``, ``"bnb"``) or any backend
+        callable, and ``kwargs`` (``time_limit``,
         ``budget``, ...) are forwarded.
         """
         from repro.mip import solve as _solve

@@ -94,11 +94,6 @@ class Solution:
         The incumbent as a column vector in standard-form column order
         (``None`` when no incumbent exists or the backend works on
         variables only); set by the HiGHS backend's array-level entry.
-    rung:
-        Which rung of a :class:`~repro.runtime.resilient.ResilientBackend`
-        fallback chain produced the result (empty for direct solves);
-        lets the evaluation distinguish first-choice from degraded
-        answers.
     """
 
     status: SolveStatus
@@ -110,7 +105,6 @@ class Solution:
     solver: str = ""
     message: str = ""
     x: np.ndarray | None = field(default=None, repr=False)
-    rung: str = ""
 
     @property
     def is_optimal(self) -> bool:

@@ -10,8 +10,7 @@ this subpackage gives every solve a measurable shape:
   exactly the numbers a serial run produces.
 * :class:`SolveTrace` — a structured per-solve event stream (presolve,
   root relaxation, node expansions, cut rounds, incumbent updates,
-  warm-start acceptance, backend fallback transitions) serialized as
-  JSONL.  Traces carry **no wall-clock data**, which is what makes them
+  warm-start acceptance) serialized as JSONL.  Traces carry **no wall-clock data**, which is what makes them
   byte-identical across runs for a fixed seed — see
   ``docs/observability.md`` for the determinism contract.
 * :mod:`repro.observability.schema` — the published event schema and a

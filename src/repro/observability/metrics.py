@@ -235,7 +235,6 @@ def telemetry_block(snap: dict) -> dict:
         "cache_hits": int(counters.get("cache.standard_form_hits", 0)),
         "cache_misses": int(counters.get("cache.standard_form_misses", 0)),
         "warm_start_used": counters.get("warmstart.used", 0) > 0,
-        "fallback_attempts": int(counters.get("fallback.attempts", 0)),
         "wall_ms": wall_ms,
     }
 

@@ -81,10 +81,6 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
         "required": {"state": "str"},
         "optional": {"where": "str"},
     },
-    "fallback": {
-        "required": {"rung": "str", "attempt": "int", "status": "str"},
-        "optional": {},
-    },
     "solve_end": {
         "required": {"solver": "str", "status": "str", "nodes": "int"},
         "optional": {

@@ -2,8 +2,8 @@
 
 A :class:`SolveTrace` is an append-only sequence of events describing
 one solve (or one sweep cell): presolve outcome, root relaxation,
-node expansions, cut rounds, incumbent updates, warm-start acceptance,
-budget state transitions and backend fallback attempts.  The event
+node expansions, cut rounds, incumbent updates, warm-start acceptance
+and budget state transitions.  The event
 vocabulary and required fields are published in
 :mod:`repro.observability.schema`.
 

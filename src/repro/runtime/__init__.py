@@ -1,7 +1,7 @@
-"""Resilient solve orchestration.
+"""Solve orchestration.
 
-This package is the library's reliability layer; every solve routes
-through it (via :func:`repro.mip.solve` and the backend registry):
+Every solve routes through this package (via :func:`repro.mip.solve`
+and the backend registry):
 
 * :class:`SolveBudget` — one global wall-clock budget threaded from the
   CLI through the evaluation runner and the greedy/hybrid algorithms
@@ -9,18 +9,14 @@ through it (via :func:`repro.mip.solve` and the backend registry):
 * the backend registry — named backends the whole stack resolves at
   solve time, making wrappers and fault injection transparent
   (:mod:`repro.runtime.backends`);
-* :class:`ResilientBackend` — a fallback chain (HiGHS → own
-  branch-and-bound, plus a TVNEP-level greedy rung in the evaluation
-  runner) with bounded retry, backoff, incumbent validation and
-  structured attempt logging (:mod:`repro.runtime.resilient`);
 * :class:`FaultInjector` — a deterministic fault-injection harness used
-  by the tests to prove the chain and the sweep runner degrade instead
-  of dying (:mod:`repro.runtime.faults`);
+  by the tests to prove that a failed solve surfaces as the cell's own
+  failure and the sweep runner continues (:mod:`repro.runtime.faults`);
 * the parallel sweep engine — process-pool execution of evaluation
   cells with fair budget slices, crash-safe per-worker record shards
   and serial-identical results (:mod:`repro.runtime.parallel`).
 
-Attempt-level diagnostics are emitted on the ``repro.runtime`` logger.
+Diagnostics are emitted on the ``repro.runtime`` logger.
 """
 
 from repro.runtime.backends import (
@@ -31,7 +27,7 @@ from repro.runtime.backends import (
     register_backend,
 )
 from repro.runtime.budget import SolveBudget
-from repro.runtime.faults import FaultInjector, FaultMode, corrupt_solution, inject_faults
+from repro.runtime.faults import FaultInjector, FaultMode, inject_faults
 from repro.runtime.parallel import (
     CellContext,
     CellResult,
@@ -41,7 +37,6 @@ from repro.runtime.parallel import (
     execute_cells,
     run_cell,
 )
-from repro.runtime.resilient import Attempt, ResilientBackend, Rung, default_chain
 
 __all__ = [
     "SolveBudget",
@@ -57,12 +52,7 @@ __all__ = [
     "get_backend",
     "backend_names",
     "override_backend",
-    "ResilientBackend",
-    "Rung",
-    "Attempt",
-    "default_chain",
     "FaultInjector",
     "FaultMode",
     "inject_faults",
-    "corrupt_solution",
 ]

@@ -4,9 +4,8 @@ Every solve in the library routes through :func:`repro.mip.solve`, which
 resolves its ``backend`` argument here.  Backends are callables
 ``(model, **kwargs) -> Solution``; they may be addressed by name (the
 strings the CLI and the evaluation config carry around) or passed
-directly as callables (e.g. a configured
-:class:`~repro.runtime.resilient.ResilientBackend` or a fault-injecting
-wrapper from :mod:`repro.runtime.faults`).
+directly as callables (e.g. a fault-injecting wrapper from
+:mod:`repro.runtime.faults`).
 
 The registry is also the seam the fault-injection harness uses: tests
 :func:`override_backend` a name ("highs") with a wrapped version and the
@@ -47,12 +46,6 @@ def _solve_bnb(model, **kwargs):
     from repro.mip.bnb import solve
 
     return solve(model, **kwargs)
-
-
-def _solve_resilient(model, **kwargs):
-    from repro.runtime.resilient import default_chain
-
-    return default_chain().solve(model, **kwargs)
 
 
 def register_backend(name: str, backend: Backend, replace: bool = False) -> None:
@@ -110,4 +103,3 @@ def override_backend(name: str, backend: Backend) -> Iterator[Backend]:
 
 register_backend("highs", _solve_highs)
 register_backend("bnb", _solve_bnb)
-register_backend("resilient", _solve_resilient)

@@ -1,23 +1,19 @@
 """Deterministic fault injection for solver backends.
 
-The resilience layer is only trustworthy if its failure paths are
-exercised; this module wraps any backend so tests (and chaos-style
-smoke runs) can make it
+Failure paths are only trustworthy if they are exercised; this module
+wraps any backend so tests (and chaos-style smoke runs) can make it
 
-* raise :class:`~repro.exceptions.SolverError` (``FaultMode.ERROR``),
+* raise :class:`~repro.exceptions.SolverError` (``FaultMode.ERROR``), or
 * simulate a timeout without incumbent (``FaultMode.TIMEOUT`` — the
-  paper's "no solution found within the hour" case), or
-* return a *corrupted* solution (``FaultMode.CORRUPT``: the incumbent's
-  values are perturbed off their constraints/integrality and the
-  reported objective no longer matches the assignment)
+  paper's "no solution found within the hour" case)
 
 on chosen call numbers — deterministically, with no randomness, so a
 failing test reproduces byte-for-byte.
 
 Combine with :func:`~repro.runtime.backends.override_backend` (or the
 :func:`inject_faults` convenience below) to poison a *named* backend:
-everything that solves through the registry — models, the greedy, the
-sweep runner — then sees the faults without any test-only plumbing.
+everything that solves through the registry — models, the sweep
+runner — then sees the faults without any test-only plumbing.
 """
 
 from __future__ import annotations
@@ -26,14 +22,13 @@ import enum
 import logging
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterator
 
 from repro.exceptions import SolverError
 from repro.mip.solution import Solution, SolveStatus
 from repro.runtime.backends import Backend, get_backend, override_backend
 
-__all__ = ["FaultMode", "FaultInjector", "inject_faults", "corrupt_solution"]
+__all__ = ["FaultMode", "FaultInjector", "inject_faults"]
 
 logger = logging.getLogger("repro.runtime")
 
@@ -43,31 +38,6 @@ class FaultMode(enum.Enum):
 
     ERROR = "error"
     TIMEOUT = "timeout"
-    CORRUPT = "corrupt"
-
-
-def corrupt_solution(solution: Solution) -> Solution:
-    """A plausibly-looking but wrong copy of a solution.
-
-    The first variable's value is shifted off its integer/constraint
-    grid and the reported objective is inflated so it disagrees with
-    the assignment — exactly the two corruptions
-    :class:`~repro.runtime.resilient.ResilientBackend` validation must
-    catch.
-    """
-    values = dict(solution.values)
-    for var in values:
-        values[var] = values[var] + 0.5
-        break
-    objective = solution.objective
-    bump = max(1.0, abs(objective)) if objective == objective else 1.0
-    return replace(
-        solution,
-        status=SolveStatus.OPTIMAL,
-        values=values,
-        objective=(objective if objective == objective else 0.0) + bump,
-        message="injected corruption",
-    )
 
 
 class FaultInjector:
@@ -130,18 +100,12 @@ class FaultInjector:
             raise SolverError(
                 f"injected {self._name} failure (call #{self.calls})"
             )
-        if mode is FaultMode.TIMEOUT:
-            return Solution(
-                status=SolveStatus.NO_SOLUTION,
-                runtime=0.0,
-                solver=f"{self._name}-faulty",
-                message=f"injected timeout without incumbent (call #{self.calls})",
-            )
-        # FaultMode.CORRUPT: let the real backend solve, then mangle
-        solution = self._inner(model, **kwargs)
-        if not solution.has_solution:
-            return solution
-        return corrupt_solution(solution)
+        return Solution(
+            status=SolveStatus.NO_SOLUTION,
+            runtime=0.0,
+            solver=f"{self._name}-faulty",
+            message=f"injected timeout without incumbent (call #{self.calls})",
+        )
 
 
 @contextmanager

@@ -89,7 +89,6 @@ class CellContext:
     num_requests: int
     time_limit: float
     backend: str
-    fallback: bool
     load_fraction: float
     capture_trace: bool = False
 
@@ -100,7 +99,6 @@ class CellContext:
             num_requests=config.num_requests,
             time_limit=config.time_limit,
             backend=config.backend,
-            fallback=config.fallback,
             load_fraction=config.load_fraction,
             capture_trace=getattr(config, "capture_trace", False),
         )
@@ -218,7 +216,6 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
                 force_embedded=cell.force_embedded,
                 objective_kwargs=kwargs,
                 budget=budget,
-                fallback=ctx.fallback,
             )
         else:
             record, solution = run_exact(
@@ -228,8 +225,6 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
                 time_limit=ctx.time_limit,
                 backend=ctx.backend,
                 budget=budget,
-                fallback=ctx.fallback,
-                degrade_to_greedy=ctx.fallback,
             )
             if record.solved and solution is not None:
                 record.model_stats["embedded_names"] = list(

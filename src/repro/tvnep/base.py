@@ -598,7 +598,6 @@ class TemporalModelBase:
                 gap=solution.gap,
                 node_count=solution.node_count,
                 status=solution.status.value,
-                rung=solution.rung,
             )
 
         for request in self.requests:
@@ -634,7 +633,6 @@ class TemporalModelBase:
             gap=solution.gap,
             node_count=solution.node_count,
             status=solution.status.value,
-            rung=solution.rung,
         )
 
     # ------------------------------------------------------------------

@@ -98,9 +98,6 @@ class TemporalSolution:
     status:
         Raw solve status (``"optimal"``, ``"feasible"``, ``"error"``,
         ...; empty for hand-built solutions).
-    rung:
-        Which fallback-chain rung produced the underlying MIP solution
-        (see :mod:`repro.runtime.resilient`; empty for direct solves).
     """
 
     def __init__(
@@ -113,7 +110,6 @@ class TemporalSolution:
         gap: float = 0.0,
         node_count: int = 0,
         status: str = "",
-        rung: str = "",
     ) -> None:
         self.substrate = substrate
         self.scheduled = dict(scheduled)
@@ -123,7 +119,6 @@ class TemporalSolution:
         self.gap = gap
         self.node_count = node_count
         self.status = status
-        self.rung = rung
 
     # ------------------------------------------------------------------
     def __getitem__(self, request_name: str) -> ScheduledRequest:

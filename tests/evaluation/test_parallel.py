@@ -93,10 +93,10 @@ class TestSerialParallelEquivalence:
 
     @needs_fork
     def test_fault_injected_error_cells_match(self, tmp_path):
-        # both rungs dead and no fallback: every exact cell becomes an
-        # error record, while the greedy cells, which solve no MILP,
-        # succeed — identically in-process and across forked workers
-        config = quick_config(models=("csigma",), fallback=False)
+        # HiGHS dead: every exact cell becomes an error record, while the
+        # greedy cells, which solve no MILP, succeed — identically
+        # in-process and across forked workers
+        config = quick_config(models=("csigma",))
         with inject_faults("highs", always="error"):
             records_serial = run_records(Evaluation(config))
             records_parallel = run_records(

@@ -56,12 +56,10 @@ class TestNumpySum:
 class TestStoredZero:
     """A ``StandardForm`` built by hand can store a ``0.0`` coefficient.
 
-    (``Model``'s compile drops zero terms.)  The numpy sweep divides by it (to ``±inf`` or ``nan``) where Python
-    float division would raise; the event-driven sweep must give the
-    same result.  A stored ``+0.0`` with slack in its row divides to
-    ``+inf`` and raises the column's lower bound to it, so the sweep
-    reports a feasible box infeasible; that defect is pinned here, so
-    that mending it is a deliberate change of the spec.
+    (``Model``'s compile drops zero terms.)  A stored zero constrains
+    nothing, so both sweeps drop it: the box stays feasible, the zero
+    column keeps its bounds, and the result is that of the same form
+    without the stored entry.
     """
 
     def form(self, zero, row_lb=-np.inf, row_ub=5.0):
@@ -77,34 +75,42 @@ class TestStoredZero:
         assert form.A.nnz == 2
         return form
 
-    def test_positive_zero_matches_the_sweep(self):
-        form = self.form(0.0)
+    def without_zero(self, row_lb=-np.inf, row_ub=5.0):
+        return raw_form(
+            A=[[1.0, 0.0]],
+            row_lb=[row_lb],
+            row_ub=[row_ub],
+            lb=[0.0, 0.0],
+            ub=[10.0, 10.0],
+            integrality=[0.0, 0.0],
+        )
+
+    def check(self, zero, expected_lb, expected_ub, **row):
+        form = self.form(zero, **row)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = tighten_bounds(form, form.lb, form.ub)
-        assert_matches_reference(form)
-        assert not result.feasible
-        assert result.lb.tolist() == [0.0, np.inf]
-        assert result.ub.tolist() == [5.0, 10.0]
-        assert (result.tightenings, result.rounds) == (2, 1)
+            result = assert_matches_reference(form)
+        assert form.A.nnz == 2  # the caller's form is not mutated
+        assert result.feasible
+        assert result.lb.tolist() == expected_lb
+        assert result.ub.tolist() == expected_ub
+        clean = tighten_bounds(self.without_zero(**row), form.lb, form.ub)
+        assert result.lb.tobytes() == clean.lb.tobytes()
+        assert result.ub.tobytes() == clean.ub.tobytes()
+        assert (result.tightenings, result.rounds) == (clean.tightenings, clean.rounds)
+
+    def test_positive_zero_matches_the_sweep(self):
+        self.check(0.0, [0.0, 0.0], [5.0, 10.0])
 
     def test_negative_zero_matches_the_sweep(self):
-        form = self.form(-0.0)
-        result = assert_matches_reference(form)
-        assert result.feasible
-        assert result.lb.tolist() == [0.0, 0.0]
-        assert result.ub.tolist() == [5.0, 10.0]
-        assert (result.tightenings, result.rounds) == (1, 2)
+        self.check(-0.0, [0.0, 0.0], [5.0, 10.0])
 
     def test_ranged_row_matches_the_sweep(self):
-        result = assert_matches_reference(self.form(0.0, row_lb=2.0))
-        assert not result.feasible
+        self.check(0.0, [2.0, 0.0], [5.0, 10.0], row_lb=2.0)
 
     def test_zero_over_zero_matches_the_sweep(self):
-        # row_hi - rest_min is exactly 0: the quotient is nan and
-        # tightens nothing
-        result = assert_matches_reference(self.form(0.0, row_ub=0.0))
-        assert result.feasible
+        # row_hi is exactly 0: the zero column still keeps its bounds
+        self.check(0.0, [0.0, 0.0], [0.0, 10.0], row_ub=0.0)
 
 
 @pytest.mark.parametrize(

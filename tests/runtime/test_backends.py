@@ -24,7 +24,7 @@ def tiny_model() -> Model:
 class TestRegistry:
     def test_builtin_names(self):
         names = backend_names()
-        assert {"highs", "bnb", "resilient"} <= set(names)
+        assert {"highs", "bnb"} <= set(names)
 
     def test_get_by_name_solves(self):
         solution = get_backend("highs")(tiny_model())

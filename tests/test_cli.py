@@ -172,19 +172,6 @@ class TestErrorHandling:
         assert "error:" in err or "no solution" in err
         assert "Traceback" not in err
 
-    def test_resilient_backend_survives_primary_failure(
-        self, instance_path, capsys
-    ):
-        from repro.runtime import inject_faults
-
-        with inject_faults("highs", always="error"):
-            code = main(
-                ["solve", str(instance_path), "--backend", "resilient"]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "answered by fallback rung: bnb" in out
-
     def test_wall_clock_budget_flag(self, instance_path, capsys):
         code = main(
             ["solve", str(instance_path), "--wall-clock-budget", "30"]
@@ -198,14 +185,13 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_evaluate_fallback_flags(self, capsys, tmp_path):
+    def test_evaluate_budget_and_store_flags(self, capsys, tmp_path):
         code = main(
             [
                 "evaluate",
                 "--quick",
                 "--seeds",
                 "0",
-                "--no-fallback",
                 "--wall-clock-budget",
                 "300",
                 "--store",
