@@ -37,6 +37,16 @@ from repro.io import Instance, load_instance, load_solution, save_instance, save
 __all__ = ["main", "build_parser"]
 
 
+def _time_limit(text: str) -> float:
+    """argparse type of ``--time-limit``: non-negative finite seconds."""
+    from repro.mip import check_time_limit
+
+    try:
+        return check_time_limit(float(text))
+    except (ValueError, ValidationError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Temporal VNet Embedding (TVNEP) toolkit"
@@ -74,18 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         default="access_control",
     )
-    solve.add_argument("--time-limit", type=float, default=None)
+    solve.add_argument("--time-limit", type=_time_limit, default=None,
+                       help="wall-clock limit [s] for this solve")
     solve.add_argument("--backend", choices=["highs", "bnb"], default="highs")
-    solve.add_argument(
-        "--wall-clock-budget",
-        type=float,
-        default=None,
-        help="global wall-clock budget [s] for the whole solve",
-    )
     solve.add_argument("--slot-length", type=float, default=0.5,
                        help="grid resolution for --model discrete")
     solve.add_argument("-o", "--output", default=None)
-    solve.add_argument("--lp-out", default=None, help="also dump the LP file")
+    solve.add_argument("--lp-out", default=None,
+                       help="also dump the LP file (not for --model greedy)")
     solve.add_argument("--gantt", action="store_true",
                        help="print a schedule Gantt chart and utilization table")
     solve.add_argument(
@@ -113,13 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--quick", action="store_true")
     evaluate.add_argument("--paper", action="store_true")
     evaluate.add_argument("--seeds", type=int, nargs="+", default=None)
-    evaluate.add_argument("--time-limit", type=float, default=None)
-    evaluate.add_argument(
-        "--wall-clock-budget",
-        type=float,
-        default=None,
-        help="global wall-clock budget [s] for the whole sweep",
-    )
+    evaluate.add_argument("--time-limit", type=_time_limit, default=None,
+                          help="wall-clock limit [s] for each cell's solve")
     evaluate.add_argument(
         "--workers",
         type=int,
@@ -206,15 +207,16 @@ def _run_solve(args: argparse.Namespace) -> int:
 
     instance = load_instance(args.instance)
     mappings = instance.node_mappings or None
-    budget = None
-    if args.wall_clock_budget is not None:
-        from repro.runtime import SolveBudget
-
-        budget = SolveBudget(args.wall_clock_budget)
+    if args.model in ("greedy", "discrete") and args.objective != "access_control":
+        print(
+            f"{args.model} only supports the access_control objective",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.model == "greedy":
-        if args.objective != "access_control":
-            print("greedy only supports the access_control objective", file=sys.stderr)
+        if args.lp_out:
+            print("greedy builds no LP model; drop --lp-out", file=sys.stderr)
             return 2
         if not mappings:
             print("greedy requires node mappings in the instance", file=sys.stderr)
@@ -224,40 +226,35 @@ def _run_solve(args: argparse.Namespace) -> int:
             instance.requests,
             mappings,
             time_limit=args.time_limit,
-            budget=budget,
         ).solution
-    elif args.model == "discrete":
-        model = DiscreteTimeModel(
-            instance.substrate,
-            instance.requests,
-            slot_length=args.slot_length,
-            fixed_mappings=mappings,
-        )
-        solution = model.solve(
-            backend=args.backend, time_limit=args.time_limit, budget=budget
-        )
     else:
-        cls = {"csigma": CSigmaModel, "sigma": SigmaModel, "delta": DeltaModel}[
-            args.model
-        ]
-        force_embedded: list[str] = []
-        if args.objective != "access_control":
-            force_embedded = [r.name for r in instance.requests]
-        model = cls(
-            instance.substrate,
-            instance.requests,
-            fixed_mappings=mappings,
-            force_embedded=force_embedded,
-        )
-        OBJECTIVES[args.objective](model)
+        if args.model == "discrete":
+            model = DiscreteTimeModel(
+                instance.substrate,
+                instance.requests,
+                slot_length=args.slot_length,
+                fixed_mappings=mappings,
+            )
+        else:
+            cls = {"csigma": CSigmaModel, "sigma": SigmaModel, "delta": DeltaModel}[
+                args.model
+            ]
+            force_embedded: list[str] = []
+            if args.objective != "access_control":
+                force_embedded = [r.name for r in instance.requests]
+            model = cls(
+                instance.substrate,
+                instance.requests,
+                fixed_mappings=mappings,
+                force_embedded=force_embedded,
+            )
+            OBJECTIVES[args.objective](model)
         if args.lp_out:
             from repro.mip import write_lp_file
 
             write_lp_file(model.model, args.lp_out)
             print(f"wrote LP file {args.lp_out}")
-        solution = model.solve(
-            backend=args.backend, time_limit=args.time_limit, budget=budget
-        )
+        solution = model.solve(backend=args.backend, time_limit=args.time_limit)
 
     print(solution.summary())
     if math.isnan(solution.objective):
@@ -329,8 +326,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         config = replace(config, seeds=tuple(args.seeds))
     if args.time_limit is not None:
         config = replace(config, time_limit=args.time_limit)
-    if args.wall_clock_budget is not None:
-        config = replace(config, wall_clock_budget=args.wall_clock_budget)
     if args.workers != 1:
         config = replace(config, workers=args.workers)
 

@@ -20,7 +20,6 @@ tests), the default laptop scale, and :meth:`EvaluationConfig.paper`
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,10 +28,8 @@ from repro.evaluation.metrics import relative_improvement, relative_performance
 from repro.evaluation.report import render_flexibility_figure
 from repro.evaluation.runner import RunRecord
 from repro.exceptions import ValidationError
-from repro.runtime.budget import SolveBudget
+from repro.mip import check_time_limit
 from repro.workloads.scenario import Scenario, paper_scenario, small_scenario
-
-logger = logging.getLogger("repro.runtime")
 
 __all__ = ["EvaluationConfig", "Evaluation", "FIXED_OBJECTIVES"]
 
@@ -62,10 +59,6 @@ class EvaluationConfig:
     backend: str = "highs"
     load_fraction: float = 0.5
     num_requests: int = 6
-    #: global wall-clock budget [s] for the whole sweep (None: unbounded).
-    #: Cells hit by budget exhaustion are *skipped without persisting*
-    #: so a resumed run completes them later.
-    wall_clock_budget: float | None = None
     #: worker processes for the sweep; 1 runs in-process.  Parallel runs
     #: produce the same record set as serial ones (modulo wall-clock
     #: ``runtime`` fields) — see :mod:`repro.runtime.parallel`.
@@ -74,6 +67,10 @@ class EvaluationConfig:
     #: cell (see docs/observability.md).  Usually enabled indirectly by
     #: setting ``Evaluation.trace_path``.
     capture_trace: bool = False
+
+    def __post_init__(self) -> None:
+        # a bad limit would otherwise persist every cell as an error
+        check_time_limit(self.time_limit)
 
     def make_scenario(self, seed: int) -> Scenario:
         if self.scale == "paper":
@@ -146,14 +143,6 @@ class Evaluation:
             self._store_instance = RecordStore(self.store_path)
         return self._store_instance
 
-    def _budget(self) -> SolveBudget | None:
-        """One sweep-wide budget, started on first use."""
-        if self.config.wall_clock_budget is None:
-            return None
-        if not hasattr(self, "_budget_instance"):
-            self._budget_instance = SolveBudget(self.config.wall_clock_budget)
-        return self._budget_instance
-
     def _stored_record(self, seed, flexibility, algorithm, objective):
         store = self._store()
         if store is None or not store.has(seed, flexibility, algorithm, objective):
@@ -180,11 +169,11 @@ class Evaluation:
     # the not-yet-stored ones to repro.runtime.parallel (which runs them
     # in-process for workers=1 and across a fork pool otherwise), then
     # integrates stored and computed records back in that same order —
-    # so resume semantics, record-file ordering and budget-skip behavior
-    # are identical no matter how many workers ran.
+    # so resume semantics and record-file ordering are identical no
+    # matter how many workers ran.
 
-    def _execute(self, cells) -> dict[int, RunRecord | None]:
-        """Run pending sweep cells; maps cell index -> record (or None)."""
+    def _execute(self, cells) -> dict[int, RunRecord]:
+        """Run pending sweep cells; maps cell index -> record."""
         from dataclasses import replace as dc_replace
 
         from repro.runtime.parallel import CellContext, execute_cells
@@ -196,7 +185,6 @@ class Evaluation:
             cells,
             ctx,
             workers=self.config.workers,
-            budget=self._budget(),
             store_path=self.store_path,
         )
         if self.trace_path is not None:
@@ -245,9 +233,7 @@ class Evaluation:
         computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
         for entry in entries:
             fresh = isinstance(entry, SweepCell)
-            record = computed.get(entry.index) if fresh else entry
-            if record is None:
-                continue  # budget-skipped: not persisted, solved on resume
+            record = computed[entry.index] if fresh else entry
             if fresh:
                 self._persist(record)
             self.access_records.append(record)
@@ -295,9 +281,7 @@ class Evaluation:
         computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
         for entry in entries:
             fresh = isinstance(entry, SweepCell)
-            record = computed.get(entry.index) if fresh else entry
-            if record is None:
-                continue
+            record = computed[entry.index] if fresh else entry
             if fresh:
                 self._persist(record)
             self.greedy_records.append(record)
@@ -351,9 +335,7 @@ class Evaluation:
         computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
         for entry in entries:
             fresh = isinstance(entry, SweepCell)
-            record = computed.get(entry.index) if fresh else entry
-            if record is None:
-                continue
+            record = computed[entry.index] if fresh else entry
             if fresh:
                 self._persist(record)
             self.objective_records.append(record)

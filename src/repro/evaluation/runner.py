@@ -5,12 +5,11 @@ one (scenario, flexibility, algorithm, objective) cell: runtime,
 objective value, branch-and-bound gap, acceptance count, and whether
 the independent verifier approved the extracted solution.
 
-``run_exact``/``run_greedy`` accept a global
-:class:`~repro.runtime.budget.SolveBudget`.  ``run_exact`` solves once,
-on the backend the caller named, and records what that backend
-returned: an incumbent (``"solved"``) or none (``"no_solution"``).  A
-cell whose solve raises is captured by :func:`error_record` so a sweep
-persists the failure and moves on.
+Each run is bounded only by the ``time_limit`` its caller passes.
+``run_exact`` solves once, on the backend the caller named, and records
+what that backend returned: an incumbent (``"solved"``) or none
+(``"no_solution"``).  A cell whose solve raises is captured by
+:func:`error_record` so a sweep persists the failure and moves on.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.exceptions import ValidationError
-from repro.runtime.budget import SolveBudget
 from repro.tvnep.base import ModelOptions, TemporalModelBase
 from repro.tvnep.csigma_model import CSigmaModel
 from repro.tvnep.delta_model import DeltaModel
@@ -165,7 +163,6 @@ def run_exact(
     options: ModelOptions | None = None,
     force_embedded: tuple[str, ...] = (),
     objective_kwargs: dict | None = None,
-    budget: SolveBudget | None = None,
 ) -> tuple[RunRecord, TemporalSolution]:
     """Build and solve one exact model on a scenario.
 
@@ -184,9 +181,6 @@ def run_exact(
     backend:
         Backend name or callable.  The solve runs once, on this backend;
         an error it raises propagates.
-    budget:
-        Global wall-clock budget; tightens ``time_limit`` to the
-        remaining sweep time.
     """
     try:
         model_cls = MODEL_REGISTRY[algorithm]
@@ -208,7 +202,7 @@ def run_exact(
         kwargs["force_embedded"] = list(force_embedded)
     model = model_cls(scenario.substrate, scenario.requests, **kwargs)
     objective_fn(model, **(objective_kwargs or {}))
-    solution = model.solve(backend=backend, time_limit=time_limit, budget=budget)
+    solution = model.solve(backend=backend, time_limit=time_limit)
     record = _record_from_solution(
         scenario,
         algorithm,
@@ -225,11 +219,10 @@ def run_exact(
 def run_greedy(
     scenario: Scenario,
     time_limit: float | None = None,
-    budget: SolveBudget | None = None,
 ) -> tuple[RunRecord, TemporalSolution]:
     """Run Algorithm cSigma^G_A on a scenario (access control).
 
-    ``time_limit``/``budget`` bound the whole run (see
+    ``time_limit`` bounds the whole run (see
     :func:`repro.tvnep.greedy.greedy_csigma`).
     """
     result = greedy_csigma(
@@ -237,7 +230,6 @@ def run_greedy(
         scenario.requests,
         scenario.node_mappings,
         time_limit=time_limit,
-        budget=budget,
     )
     record = _record_from_solution(
         scenario, "greedy", "access_control", result.solution

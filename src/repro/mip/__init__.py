@@ -23,6 +23,9 @@ Quick example
 3.0
 """
 
+import math
+
+from repro.exceptions import ValidationError
 from repro.mip.constraint import Constraint, Sense
 from repro.mip.expr import LinExpr, Variable, VarType, quicksum
 from repro.mip.highs_backend import solve as solve_highs
@@ -51,6 +54,7 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "relative_gap",
+    "check_time_limit",
     "solve",
     "solve_highs",
     "solve_bnb",
@@ -62,6 +66,20 @@ __all__ = [
     "read_lp",
     "read_lp_file",
 ]
+
+
+def check_time_limit(time_limit):
+    """``time_limit`` as a float (``None`` stays ``None``); a negative or
+    non-finite limit raises :class:`~repro.exceptions.ValidationError`."""
+    if time_limit is None:
+        return None
+    value = float(time_limit)
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValidationError(
+            "time limit must be a non-negative finite number of seconds, "
+            f"got {time_limit!r}"
+        )
+    return value
 
 
 def solve(model, backend="highs", **kwargs):
@@ -79,12 +97,16 @@ def solve(model, backend="highs", **kwargs):
         :class:`~repro.runtime.faults.FaultInjector`.  The backend runs
         once; its answer or its error is the caller's.
     **kwargs:
-        Forwarded to the backend (``time_limit``, ``budget``,
-        ``mip_gap``, ``node_limit``, and for ``bnb`` also
-        ``branching`` / ``node_selection``).
+        Forwarded to the backend (``time_limit``, ``mip_gap``,
+        ``node_limit``, and for ``bnb`` also ``branching`` /
+        ``node_selection`` / ``warm_start``).  ``time_limit`` bounds
+        this one solve, the only time bound there is; a negative or
+        non-finite one raises :class:`~repro.exceptions.ValidationError`.
     """
     from repro.runtime.backends import get_backend
 
+    if "time_limit" in kwargs:
+        kwargs["time_limit"] = check_time_limit(kwargs["time_limit"])
     return get_backend(backend)(model, **kwargs)
 
 

@@ -109,16 +109,15 @@ class BranchAndBoundSolver:
         model: Model,
         time_limit: float | None = None,
         node_limit: int | None = None,
-        budget=None,
         warm_start=None,
         trace=None,
     ) -> Solution:
         """Run branch-and-bound on ``model``.
 
         Returns a :class:`Solution` whose ``node_count`` is the number of
-        LP relaxations solved.  ``budget`` (a
-        :class:`~repro.runtime.budget.SolveBudget`) tightens
-        ``time_limit`` to the globally remaining wall-clock time.
+        LP relaxations solved.  ``time_limit`` and ``node_limit`` stop
+        the search; a binding one is reported as a ``budget`` trace
+        event.
 
         ``warm_start`` is an optional assignment (mapping of
         ``Variable``/name → value, or a full vector) believed feasible;
@@ -135,16 +134,6 @@ class BranchAndBoundSolver:
         """
         trace = trace if trace is not None else current_trace()
         metrics = get_registry()
-        if budget is not None:
-            if budget.expired:
-                if trace is not None:
-                    trace.emit("budget", state="exhausted", where="pre_solve")
-                return Solution(
-                    status=SolveStatus.NO_SOLUTION,
-                    solver=BNB_NAME,
-                    message="wall-clock budget exhausted before solve",
-                )
-            time_limit = budget.clamp(time_limit)
         form = model.to_standard_form()
         metrics.inc("solver.solves")
         lp_iters_before = metrics.counter("solver.lp_iterations")
@@ -707,7 +696,6 @@ def solve(
     mip_gap: float = 1e-6,
     branching: str = "pseudocost",
     node_selection: str = "hybrid",
-    budget=None,
     warm_start=None,
     trace=None,
     rc_fixing: bool = True,
@@ -725,7 +713,6 @@ def solve(
         model,
         time_limit=time_limit,
         node_limit=node_limit,
-        budget=budget,
         warm_start=warm_start,
         trace=trace,
     )

@@ -47,8 +47,6 @@ def solve(
     mip_gap: float = 1e-6,
     node_limit: int | None = None,
     presolve: bool = True,
-    budget=None,
-    warm_start=None,
 ) -> Solution:
     """Solve a model with HiGHS branch-and-cut.
 
@@ -56,20 +54,10 @@ def solve(
     ----------
     model:
         The model to solve.
-    warm_start:
-        Accepted for backend-signature compatibility, so a caller can
-        pass a warm start to any backend; :func:`scipy.optimize.milp`
-        offers no warm-start interface, so it is ignored here.  The ``bnb``
-        backend uses it as its initial incumbent.
     time_limit:
         Wall-clock limit in seconds; on expiry the best incumbent (if
         any) is returned with status ``FEASIBLE``, mirroring the paper's
         one-hour-timeout methodology.
-    budget:
-        Optional :class:`~repro.runtime.budget.SolveBudget`; the
-        effective limit is the tighter of ``time_limit`` and the
-        budget's remaining wall-clock time.  An already-expired budget
-        short-circuits to ``NO_SOLUTION`` without calling the solver.
     mip_gap:
         Relative optimality gap at which the search stops.
     node_limit:
@@ -83,17 +71,6 @@ def solve(
         presolve (or using the ``bnb`` backend) recovers it — see
         EXPERIMENTS.md, "A reproduction war story, part two".
     """
-    if budget is not None:
-        if budget.expired:
-            trace = current_trace()
-            if trace is not None:
-                trace.emit("budget", state="exhausted", where="pre_solve")
-            return Solution(
-                status=SolveStatus.NO_SOLUTION,
-                solver=HIGHS_NAME,
-                message="wall-clock budget exhausted before solve",
-            )
-        time_limit = budget.clamp(time_limit)
     form = model.to_standard_form()
     return solve_standard_form(
         form,

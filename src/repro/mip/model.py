@@ -647,8 +647,9 @@ class Model:
 
         Thin convenience over :func:`repro.mip.solve`; ``backend`` may
         be a registered name (``"highs"``, ``"bnb"``) or any backend
-        callable, and ``kwargs`` (``time_limit``,
-        ``budget``, ...) are forwarded.
+        callable, and ``kwargs`` (``time_limit``, ``mip_gap``, ...) are
+        forwarded.  ``time_limit`` must be ``None`` or a non-negative
+        finite number of seconds (else :class:`ValidationError`).
         """
         from repro.mip import solve as _solve
 

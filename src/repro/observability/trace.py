@@ -3,13 +3,13 @@
 A :class:`SolveTrace` is an append-only sequence of events describing
 one solve (or one sweep cell): presolve outcome, root relaxation,
 node expansions, cut rounds, incumbent updates, warm-start acceptance
-and budget state transitions.  The event
+and the bnb's time/node-limit stops.  The event
 vocabulary and required fields are published in
 :mod:`repro.observability.schema`.
 
 **Determinism contract** (enforced by tests and the CI smoke job): an
 event payload never contains wall-clock data — no timestamps, no
-runtimes, no budget-remaining seconds.  Everything recorded (bounds,
+runtimes, no remaining-time seconds.  Everything recorded (bounds,
 objective values, node/cut counts, statuses) is a pure function of the
 model and the solver configuration, so a fixed-seed solve serializes to
 a *byte-identical* trace on every run, and a parallel sweep writes the

@@ -3,9 +3,6 @@
 Every solve routes through this package (via :func:`repro.mip.solve`
 and the backend registry):
 
-* :class:`SolveBudget` — one global wall-clock budget threaded from the
-  CLI through the evaluation runner and the greedy/hybrid algorithms
-  down to the MIP backends (:mod:`repro.runtime.budget`);
 * the backend registry — named backends the whole stack resolves at
   solve time, making wrappers and fault injection transparent
   (:mod:`repro.runtime.backends`);
@@ -13,8 +10,12 @@ and the backend registry):
   by the tests to prove that a failed solve surfaces as the cell's own
   failure and the sweep runner continues (:mod:`repro.runtime.faults`);
 * the parallel sweep engine — process-pool execution of evaluation
-  cells with fair budget slices, crash-safe per-worker record shards
-  and serial-identical results (:mod:`repro.runtime.parallel`).
+  cells with crash-safe per-worker record shards and serial-identical
+  results (:mod:`repro.runtime.parallel`).
+
+The only time bound is the per-solve ``time_limit`` each caller passes
+(the CLI's ``--time-limit``, ``EvaluationConfig.time_limit``, the
+hybrid's ``exact_time_limit``); there is no sweep-wide clock.
 
 Diagnostics are emitted on the ``repro.runtime`` logger.
 """
@@ -26,7 +27,6 @@ from repro.runtime.backends import (
     override_backend,
     register_backend,
 )
-from repro.runtime.budget import SolveBudget
 from repro.runtime.faults import FaultInjector, FaultMode, inject_faults
 from repro.runtime.parallel import (
     CellContext,
@@ -39,7 +39,6 @@ from repro.runtime.parallel import (
 )
 
 __all__ = [
-    "SolveBudget",
     "SweepCell",
     "CellContext",
     "CellResult",

@@ -10,13 +10,9 @@ cells across worker processes:
   record sequence is identical to a serial run (scenario generation is
   seeded per cell, nothing depends on worker scheduling).  Only the
   wall-clock ``runtime`` fields differ between runs — compare record
-  sets with :func:`canonical_records`.
-* **Budget sharing.**  A global
-  :class:`~repro.runtime.budget.SolveBudget` is split fairly: each
-  worker gets ``remaining / workers`` seconds for its whole chunk and
-  applies the usual per-cell clamping inside it.  With ``workers=1``
-  the caller's budget object is consumed directly (exact serial
-  semantics).
+  sets with :func:`canonical_records`.  Each cell is bounded only by
+  its own ``time_limit``; no cell's limit depends on how long the
+  others took, so ``workers=N`` yields the same records as a serial run.
 * **Crash safety.**  Each worker appends finished records to its own
   shard file (``<store>.shard-NNN``) as it goes; the parent persists
   the merged results to the main store and discards the shards.  After
@@ -30,9 +26,7 @@ cells across worker processes:
   identically in every worker.  Spawn-only platforms lose the
   poisoning (children re-import a clean registry).
 
-Budget-skipped cells yield ``CellResult.skipped`` and are *not*
-persisted, so a resumed sweep still solves them — matching the serial
-skip-without-persist contract.
+Every cell yields a record: ``solved``, ``no_solution`` or ``error``.
 """
 
 from __future__ import annotations
@@ -42,8 +36,6 @@ import math
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass
-
-from repro.runtime.budget import SolveBudget
 
 __all__ = [
     "SweepCell",
@@ -106,7 +98,7 @@ class CellContext:
 
 @dataclass
 class CellResult:
-    """Outcome of one cell; ``skipped`` marks budget-starved cells.
+    """Outcome of one cell: its record plus its telemetry.
 
     ``metrics`` is the cell's scoped registry snapshot (merged into the
     parent's registry by :func:`execute_cells` — commutatively, so a
@@ -116,9 +108,8 @@ class CellResult:
     """
 
     index: int
-    record: object | None  # RunRecord | None
-    skipped: bool = False
-    metrics: dict | None = None
+    record: object  # RunRecord
+    metrics: dict
     trace_events: list | None = None
 
 
@@ -135,12 +126,11 @@ def _make_scenario(ctx: CellContext, cell: SweepCell):
     return scenario
 
 
-def run_cell(cell: SweepCell, ctx: CellContext, budget: SolveBudget | None = None):
-    """Solve one cell; returns its ``RunRecord`` or ``None`` if skipped.
+def run_cell(cell: SweepCell, ctx: CellContext):
+    """Solve one cell and return its ``RunRecord``.
 
-    Mirrors the serial sweep exactly: an expired budget skips the cell
-    (without a record, so a resumed run re-solves it), a failed solve
-    becomes an explicit ``status="error"`` record, and solved
+    Mirrors the serial sweep exactly: a failed solve becomes an
+    explicit ``status="error"`` record, and solved
     access-control cells carry their embedded request names in
     ``model_stats`` for the fixed-objective phase.
 
@@ -149,15 +139,12 @@ def run_cell(cell: SweepCell, ctx: CellContext, budget: SolveBudget | None = Non
     """
     from repro.observability import get_registry
 
-    result = _run_cell_result(cell, ctx, budget)
-    if result.metrics is not None:
-        get_registry().merge(result.metrics)
+    result = _run_cell_result(cell, ctx)
+    get_registry().merge(result.metrics)
     return result.record
 
 
-def _run_cell_result(
-    cell: SweepCell, ctx: CellContext, budget: SolveBudget | None = None
-) -> CellResult:
+def _run_cell_result(cell: SweepCell, ctx: CellContext) -> CellResult:
     """Solve one cell under a fresh registry (and trace, when asked).
 
     The cell's telemetry is computed from a registry scoped to exactly
@@ -174,33 +161,28 @@ def _run_cell_result(
         use_trace,
     )
 
-    if budget is not None and budget.expired:
-        logger.warning("sweep budget exhausted; skipping %s", cell.label)
-        return CellResult(index=cell.index, record=None, skipped=True)
     scenario = _make_scenario(ctx, cell)
     registry = MetricsRegistry()
     trace = SolveTrace(context={"cell": cell.label}) if ctx.capture_trace else None
     with use_registry(registry), use_trace(trace):
-        record = _solve_cell(cell, ctx, budget, scenario)
+        record = _solve_cell(cell, ctx, scenario)
     snapshot = registry.snapshot()
-    if record is not None:
-        record.telemetry = telemetry_block(snapshot)
+    record.telemetry = telemetry_block(snapshot)
     return CellResult(
         index=cell.index,
         record=record,
-        skipped=record is None,
         metrics=snapshot,
         trace_events=list(trace.events) if trace is not None else None,
     )
 
 
-def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
+def _solve_cell(cell: SweepCell, ctx: CellContext, scenario):
     from repro.evaluation.runner import error_record, run_exact, run_greedy
     from repro.exceptions import ReproError
 
     try:
         if cell.phase == "greedy":
-            record, _ = run_greedy(scenario, time_limit=ctx.time_limit, budget=budget)
+            record, _ = run_greedy(scenario, time_limit=ctx.time_limit)
         elif cell.phase == "objective":
             kwargs = (
                 {"load_fraction": ctx.load_fraction}
@@ -215,7 +197,6 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
                 backend=ctx.backend,
                 force_embedded=cell.force_embedded,
                 objective_kwargs=kwargs,
-                budget=budget,
             )
         else:
             record, solution = run_exact(
@@ -224,7 +205,6 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
                 objective="access_control",
                 time_limit=ctx.time_limit,
                 backend=ctx.backend,
-                budget=budget,
             )
             if record.solved and solution is not None:
                 record.model_stats["embedded_names"] = list(
@@ -239,14 +219,13 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, budget, scenario):
 
 def _run_cell_batch(payload):
     """Worker entry point: solve a chunk, appending to a shard file."""
-    cells, ctx, budget_seconds, shard = payload
+    cells, ctx, shard = payload
     from repro.evaluation.persistence import append_record
 
-    budget = SolveBudget(budget_seconds) if budget_seconds is not None else None
     results = []
     for cell in cells:
-        result = _run_cell_result(cell, ctx, budget)
-        if result.record is not None and shard is not None:
+        result = _run_cell_result(cell, ctx)
+        if shard is not None:
             append_record(result.record, shard)
         results.append(result)
     return results
@@ -264,7 +243,6 @@ def execute_cells(
     cells: list[SweepCell],
     ctx: CellContext,
     workers: int = 1,
-    budget: SolveBudget | None = None,
     store_path: str | None = None,
 ) -> list[CellResult]:
     """Run sweep cells, in-process or across a process pool.
@@ -279,22 +257,16 @@ def execute_cells(
     if not cells:
         return []
     if workers <= 1 or len(cells) == 1:
-        return _merge_results(
-            [_run_cell_result(cell, ctx, budget) for cell in cells]
-        )
+        return _merge_results([_run_cell_result(cell, ctx) for cell in cells])
 
     from repro.evaluation.persistence import shard_path
 
     chunks = [cells[k::workers] for k in range(workers)]
     chunks = [chunk for chunk in chunks if chunk]
-    per_worker = None
-    if budget is not None:
-        per_worker = max(budget.remaining() / len(chunks), 0.0)
     payloads = [
         (
             chunk,
             ctx,
-            per_worker,
             shard_path(store_path, k) if store_path is not None else None,
         )
         for k, chunk in enumerate(chunks)
@@ -331,8 +303,7 @@ def _merge_results(results: list[CellResult]) -> list[CellResult]:
 
     registry = get_registry()
     for result in results:
-        if result.metrics is not None:
-            registry.merge(result.metrics)
+        registry.merge(result.metrics)
     return results
 
 

@@ -38,10 +38,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.exceptions import ModelingError, SolverError
+from repro.mip import check_time_limit
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 from repro.observability.metrics import get_registry
-from repro.runtime.budget import SolveBudget
 from repro.temporal.interval import Interval
 # solve_fixed_schedule is called through the module attribute, which
 # perfbench/tracing.py wraps as the ``tvnep.fixed_schedule`` layer
@@ -86,7 +86,6 @@ def greedy_csigma(
     fixed_mappings: Mapping[str, NodeMapping],
     *,
     time_limit: float | None = None,
-    budget: SolveBudget | None = None,
 ) -> GreedyResult:
     """Run Algorithm cSigma^G_A.
 
@@ -104,17 +103,15 @@ def greedy_csigma(
         algorithm only optimizes link embedding and scheduling; compute
         one with e.g. :func:`repro.vnep.random_node_mapping`).
     time_limit:
-        Global wall-clock limit for the *whole* run: once it has
+        Wall-clock limit [s] for the *whole* run: once it has
         expired, every remaining request is rejected at its earliest
         slot without being tested, so the greedy always terminates on
         schedule.
-    budget:
-        An existing :class:`~repro.runtime.budget.SolveBudget` to
-        consume instead of creating one from ``time_limit`` (used when
-        the caller threads one global budget through several phases).
 
     Raises
     ------
+    ValidationError
+        When ``time_limit`` is negative or not finite.
     SolverError
         When a request has no fixed mapping, or the final link-embedding
         LP fails.
@@ -122,8 +119,8 @@ def greedy_csigma(
         When a request's mapping targets a node the substrate lacks.
     """
     _require_mappings(requests, fixed_mappings, "greedy")
-    if budget is None and time_limit is not None:
-        budget = SolveBudget(time_limit)
+    time_limit = check_time_limit(time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     admission = PathFirstAdmission(substrate)
     # L <- R ordered by earliest possible start (stable for ties)
     scheduled: dict[str, ScheduledRequest] = {}
@@ -132,7 +129,7 @@ def greedy_csigma(
         sorted(requests, key=lambda r: (r.earliest_start, r.name)),
         fixed_mappings,
         scheduled,
-        budget=budget,
+        deadline=deadline,
         label="greedy",
         step="iterations",
     )
@@ -166,7 +163,7 @@ def _admit_in_order(
     fixed_mappings: Mapping[str, NodeMapping],
     scheduled: dict[str, ScheduledRequest],
     *,
-    budget: SolveBudget | None,
+    deadline: float | None,
     label: str,
     step: str,
 ) -> list[float]:
@@ -174,7 +171,9 @@ def _admit_in_order(
 
     ``admission`` may already hold placements (the hybrid's
     heavy-hitters).  Each request's outcome is added to ``scheduled``;
-    returns the per-request runtimes.  Counters are ``<label>.<step>``,
+    returns the per-request runtimes.  Once the ``time.monotonic()``
+    ``deadline`` has passed, every remaining request is rejected
+    untested.  Counters are ``<label>.<step>``,
     ``<label>.accepted`` and ``<label>.rejected``.
     """
     registry = get_registry()
@@ -182,11 +181,11 @@ def _admit_in_order(
     for position, request in enumerate(order):
         registry.inc(f"{label}.{step}")
         chosen: FixedPlacement | None = None
-        if budget is not None and budget.expired:
+        if deadline is not None and time.monotonic() >= deadline:
             # out of wall-clock: conservatively reject the tail instead
             # of blowing past the deadline
             logger.warning(
-                "%s budget exhausted after %d/%d %s; rejecting %s untested",
+                "%s time limit reached after %d/%d %s; rejecting %s untested",
                 label,
                 position,
                 len(order),

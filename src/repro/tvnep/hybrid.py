@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from repro.exceptions import SolverError, ValidationError
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
-from repro.runtime.budget import SolveBudget
 from repro.temporal.interval import Interval
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.csigma_model import CSigmaModel
@@ -91,8 +90,6 @@ def hybrid_heavy_hitters(
     options: ModelOptions | None = None,
     backend: str = "highs",
     exact_time_limit: float | None = None,
-    time_limit: float | None = None,
-    budget: SolveBudget | None = None,
 ) -> HybridResult:
     """Exact on the heavy-hitters, greedy on the rest (Sec. VIII).
 
@@ -107,13 +104,8 @@ def hybrid_heavy_hitters(
         when the set is non-empty.
     options, backend, exact_time_limit:
         Formulation options, MIP backend and time limit of the exact
-        phase.
-    time_limit / budget:
-        One global wall-clock budget for the whole run (a
-        :class:`~repro.runtime.budget.SolveBudget`, or seconds to build
-        one from): the exact phase receives half the remaining time, and
-        once the budget has expired the remaining insertions reject
-        untested, so the hybrid always terminates on schedule.
+        phase; ``exact_time_limit`` reaches the exact solve unchanged.
+        The insertion phase has no time limit.
 
     Raises
     ------
@@ -130,8 +122,6 @@ def hybrid_heavy_hitters(
         options = replace(
             options, time_horizon=max(r.latest_end for r in requests)
         )
-    if budget is None and time_limit is not None:
-        budget = SolveBudget(time_limit)
 
     by_revenue = sorted(requests, key=lambda r: (-r.revenue(), r.name))
     num_heavy = max(1, round(heavy_fraction * len(by_revenue))) if by_revenue else 0
@@ -141,12 +131,6 @@ def hybrid_heavy_hitters(
     )
 
     # -- phase 1: exact on the heavy-hitters ------------------------------
-    # the exact phase gets half the remaining global budget
-    if budget is not None:
-        half = budget.remaining() * 0.5
-        exact_time_limit = (
-            half if exact_time_limit is None else min(exact_time_limit, half)
-        )
     tick = time.perf_counter()
     exact_solution = CSigmaModel(
         substrate,
@@ -185,7 +169,7 @@ def hybrid_heavy_hitters(
         small,
         fixed_mappings,
         scheduled,
-        budget=budget,
+        deadline=None,
         label="hybrid",
         step="insertions",
     )

@@ -100,6 +100,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             config.make_scenario(0)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_invalid_time_limit_rejected(self, bad):
+        from dataclasses import replace
+
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match="time limit"):
+            EvaluationConfig(time_limit=bad)
+        with pytest.raises(ValidationError, match="time limit"):
+            replace(EvaluationConfig.quick(), time_limit=bad)
+
 
 class TestResume:
     def test_store_resume_skips_solved_cells(self, tmp_path):

@@ -151,25 +151,27 @@ class TestCrashResume:
         assert len(resumed.access_records) == 1
 
 
-class TestSweepBudget:
-    def test_exhausted_budget_skips_without_persisting(self, tmp_path):
-        """Cells cut off by the sweep budget are not written to disk,
-        so a later (resumed) run still solves them."""
+class TestEveryCellRecorded:
+    def test_zero_time_limit_still_persists_every_cell(self, tmp_path):
+        """A time limit bounds each solve; it never skips a cell."""
         store_path = str(tmp_path / "records.jsonl")
-        config = mini_config(flexibilities=(0.0, 1.0), wall_clock_budget=60.0)
+        config = mini_config(flexibilities=(0.0, 1.0), time_limit=0.0)
         evaluation = Evaluation(config, store_path=store_path)
-        # force the budget into the exhausted state before the sweep
-        evaluation._budget_instance = _expired_budget()
         evaluation.run_access_control()
-        assert evaluation.access_records == []
-        assert not (tmp_path / "records.jsonl").exists()
+        evaluation.run_greedy()
 
-        # a fresh run (healthy budget) completes the skipped cells
-        fresh = Evaluation(
-            mini_config(flexibilities=(0.0, 1.0)), store_path=store_path
+        assert [r.status for r in evaluation.access_records] == ["no_solution"] * 2
+        assert [r.num_embedded for r in evaluation.greedy_records] == [0, 0]
+        assert len(load_records(store_path)) == 4
+
+        counter = FaultInjector("highs")
+        with override_backend("highs", counter):
+            resumed = Evaluation(config, store_path=store_path)
+            resumed.run_access_control()
+        assert counter.calls == 0
+        assert canonical_records(resumed.access_records) == canonical_records(
+            evaluation.access_records
         )
-        fresh.run_access_control()
-        assert len(load_records(store_path)) == 2
 
 
 class TestErrorRecordShape:
@@ -190,11 +192,3 @@ class TestErrorRecordShape:
         # an error cell counts as measured: resume won't retry it
         assert store.has(record.seed, 1.0, "csigma")
 
-
-def _expired_budget():
-    from repro.runtime import SolveBudget
-
-    now = [0.0]
-    budget = SolveBudget(60.0, clock=lambda: now[0])
-    now[0] = 120.0
-    return budget

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.exceptions import SolverError
-from repro.mip import Model, ObjectiveSense, SolveStatus
+from repro.exceptions import SolverError, ValidationError
+from repro.mip import Model, ObjectiveSense, SolveStatus, solve
 from repro.runtime import (
     backend_names,
     get_backend,
@@ -58,26 +60,23 @@ class TestRegistry:
         assert "temp-backend" not in backend_names()
 
 
-class TestBudgetWiring:
-    """Both concrete backends honor an exhausted SolveBudget."""
+class TestTimeLimitValidation:
+    """``repro.mip.solve`` checks ``time_limit`` before any backend runs."""
 
     @pytest.mark.parametrize("name", ["highs", "bnb"])
-    def test_expired_budget_short_circuits(self, name):
-        from repro.runtime import SolveBudget
-
-        now = [0.0]
-        budget = SolveBudget(5.0, clock=lambda: now[0])
-        now[0] = 10.0
-        solution = get_backend(name)(tiny_model(), budget=budget)
-        assert solution.status is SolveStatus.NO_SOLUTION
-        assert "budget" in solution.message
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf"), -math.inf])
+    def test_invalid_time_limit_rejected(self, name, bad):
+        calls = []
+        with override_backend(name, lambda model, **kwargs: calls.append(kwargs)):
+            with pytest.raises(ValidationError, match="time limit"):
+                solve(tiny_model(), backend=name, time_limit=bad)
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["highs", "bnb"])
-    def test_live_budget_clamps_but_solves(self, name):
-        from repro.runtime import SolveBudget
-
-        budget = SolveBudget(60.0, clock=lambda: 0.0)
-        solution = get_backend(name)(
-            tiny_model(), time_limit=600.0, budget=budget
-        )
+    def test_valid_time_limit_reaches_backend(self, name):
+        solution = solve(tiny_model(), backend=name, time_limit=5)
         assert solution.status is SolveStatus.OPTIMAL
+
+    def test_model_solve_checks_too(self):
+        with pytest.raises(ValidationError):
+            tiny_model().solve(time_limit=-1.0)

@@ -109,6 +109,39 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_discrete_rejects_other_objectives(self, instance_path, capsys):
+        code = main(
+            [
+                "solve",
+                str(instance_path),
+                "--model",
+                "discrete",
+                "--objective",
+                "max_earliness",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "access_control" in captured.err
+        assert "objective" not in captured.out  # nothing was solved
+
+    def test_discrete_lp_dump(self, instance_path, tmp_path):
+        lp_path = tmp_path / "discrete.lp"
+        code = main(
+            ["solve", str(instance_path), "--model", "discrete", "--lp-out", str(lp_path)]
+        )
+        assert code == 0
+        assert lp_path.read_text().startswith("\\ Model")
+
+    def test_greedy_rejects_lp_out(self, instance_path, tmp_path, capsys):
+        lp_path = tmp_path / "greedy.lp"
+        code = main(
+            ["solve", str(instance_path), "--model", "greedy", "--lp-out", str(lp_path)]
+        )
+        assert code == 2
+        assert "--lp-out" in capsys.readouterr().err
+        assert not lp_path.exists()
+
 
 class TestVerify:
     def test_accepts_valid_solution(self, instance_path, tmp_path, capsys):
@@ -172,18 +205,20 @@ class TestErrorHandling:
         assert "error:" in err or "no solution" in err
         assert "Traceback" not in err
 
-    def test_wall_clock_budget_flag(self, instance_path, capsys):
-        code = main(
-            ["solve", str(instance_path), "--wall-clock-budget", "30"]
+    @pytest.mark.parametrize("command", ["solve", "evaluate"])
+    @pytest.mark.parametrize("value", ["-5", "-1", "nan", "inf", "soon"])
+    def test_invalid_time_limit_rejected(self, instance_path, capsys, command, value):
+        argv = [command] + (
+            [str(instance_path)] if command == "solve" else ["--quick", "--seeds", "0"]
         )
-        assert code == 0
-
-    def test_negative_budget_rejected(self, instance_path, capsys):
-        code = main(
-            ["solve", str(instance_path), "--wall-clock-budget", "-5"]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--time-limit", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert "error: argument --time-limit" in last
+        assert value in last
+        assert "Traceback" not in err
 
     def test_evaluate_budget_and_store_flags(self, capsys, tmp_path):
         code = main(
@@ -192,8 +227,6 @@ class TestErrorHandling:
                 "--quick",
                 "--seeds",
                 "0",
-                "--wall-clock-budget",
-                "300",
                 "--store",
                 str(tmp_path / "records.jsonl"),
             ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ModelingError, SolverError
+from repro.exceptions import ModelingError, SolverError, ValidationError
 from repro.network import (
     Request,
     SubstrateNetwork,
@@ -192,21 +192,16 @@ class TestHarshTimeLimits:
         assert verify_solution(result.solution).feasible
 
 
-class TestGlobalBudget:
-    def test_expired_budget_rejects_without_solving_iterations(self):
-        from repro.runtime import SolveBudget
-
+class TestTimeLimit:
+    def test_zero_time_limit_rejects_every_request_untested(self):
         sub = one_node()
         reqs = [unit_request("A", 0, 4, 2), unit_request("B", 0, 4, 2)]
-        now = [0.0]
-        budget = SolveBudget(10.0, clock=lambda: now[0])
-        now[0] = 20.0  # already past the deadline
 
         registry = MetricsRegistry()
         with use_registry(registry), mock.patch.object(
             fixed_schedule, "solve_highs", wraps=fixed_schedule.solve_highs
         ) as lp:
-            result = greedy_csigma(sub, reqs, unit_mappings(reqs), budget=budget)
+            result = greedy_csigma(sub, reqs, unit_mappings(reqs), time_limit=0.0)
         # every request was rejected untested, so nothing was solved
         assert lp.call_count == 0
         assert registry.counter("fixed_schedule.path_accepts") == 0
@@ -216,12 +211,18 @@ class TestGlobalBudget:
         assert len(result.solution.scheduled) == 2
         assert verify_solution(result.solution).feasible
 
-    def test_time_limit_builds_a_budget(self):
+    def test_ample_time_limit_admits(self):
         sub = one_node()
         reqs = [unit_request("A", 0, 4, 2)]
         result = greedy_csigma(sub, reqs, unit_mappings(reqs), time_limit=60.0)
         assert result.solution.num_embedded == 1
         assert verify_solution(result.solution).feasible
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_invalid_time_limit_rejected(self, bad):
+        reqs = [unit_request("A", 0, 4, 2)]
+        with pytest.raises(ValidationError, match="time limit"):
+            greedy_csigma(one_node(), reqs, unit_mappings(reqs), time_limit=bad)
 
 
 class TestErrorsSurface:

@@ -180,32 +180,24 @@ def hybrid_instance(draw):
     return cap, fraction, reqs
 
 
-class TestGlobalBudget:
-    def test_expired_budget_still_yields_feasible_solution(self):
-        from repro.runtime import SolveBudget
+class TestExactTimeLimit:
+    def test_exact_time_limit_reaches_the_exact_solve_unchanged(self):
+        from repro.mip import solve_highs
+        from repro.runtime import override_backend
+
+        seen = []
+
+        def spy(model, **kwargs):
+            seen.append(kwargs.get("time_limit"))
+            return solve_highs(model, **kwargs)
 
         sub = one_node(cap=2.0)
         reqs = [unit_request(n, 0, 8, 2) for n in "ABCD"]
-        now = [0.0]
-        budget = SolveBudget(10.0, clock=lambda: now[0])
-        now[0] = 20.0
-
-        result = hybrid_heavy_hitters(
-            sub, reqs, unit_mappings(reqs), budget=budget
-        )
-        # all insertions were skipped, but the result is still complete
-        assert len(result.solution.scheduled) == 4
-        assert verify_solution(result.solution).feasible
-
-    def test_budget_bounds_both_phases(self):
-        from repro.runtime import SolveBudget
-
-        sub = one_node(cap=2.0)
-        reqs = [unit_request(n, 0, 8, 2) for n in "ABCD"]
-        budget = SolveBudget(120.0, clock=lambda: 0.0)
-        result = hybrid_heavy_hitters(
-            sub, reqs, unit_mappings(reqs), budget=budget
-        )
+        with override_backend("highs", spy):
+            result = hybrid_heavy_hitters(
+                sub, reqs, unit_mappings(reqs), exact_time_limit=7.5
+            )
+        assert seen == [7.5]
         assert verify_solution(result.solution).feasible
         assert result.solution.num_embedded == 4
 
