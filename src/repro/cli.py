@@ -47,6 +47,19 @@ def _time_limit(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _workers(text: str) -> int:
+    """argparse type of ``--workers``: a process count of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"workers must be an integer of at least 1, got {text!r}"
+        )
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Temporal VNet Embedding (TVNEP) toolkit"
@@ -123,10 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="wall-clock limit [s] for each cell's solve")
     evaluate.add_argument(
         "--workers",
-        type=int,
+        type=_workers,
         default=1,
         help="worker processes for the sweep (1 = in-process serial); "
-        "parallel runs produce the same records as serial ones",
+        "each cell's record is written to --store as soon as the cell "
+        "finishes, in completion order when N > 1, and the figures, "
+        "trace and metrics are the same as a serial run's",
     )
     evaluate.add_argument("--charts", action="store_true")
     evaluate.add_argument("--store", default=None,

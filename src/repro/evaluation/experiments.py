@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from repro.evaluation.aggregate import series_over_flexibility
 from repro.evaluation.metrics import relative_improvement, relative_performance
@@ -32,6 +33,16 @@ from repro.mip import check_time_limit
 from repro.workloads.scenario import Scenario, paper_scenario, small_scenario
 
 __all__ = ["EvaluationConfig", "Evaluation", "FIXED_OBJECTIVES"]
+
+#: the config fields a record depends on beyond its cell key; a record
+#: store keeps them in its header so a resume never mixes sweeps
+_SWEEP_IDENTITY: tuple[str, ...] = (
+    "scale",
+    "num_requests",
+    "time_limit",
+    "backend",
+    "load_fraction",
+)
 
 #: the fixed-set objectives evaluated in Figures 5/6
 FIXED_OBJECTIVES: tuple[str, ...] = (
@@ -63,21 +74,19 @@ class EvaluationConfig:
     #: produce the same record set as serial ones (modulo wall-clock
     #: ``runtime`` fields) — see :mod:`repro.runtime.parallel`.
     workers: int = 1
-    #: capture a structured :class:`~repro.observability.SolveTrace` per
-    #: cell (see docs/observability.md).  Usually enabled indirectly by
-    #: setting ``Evaluation.trace_path``.
-    capture_trace: bool = False
 
     def __post_init__(self) -> None:
         # a bad limit would otherwise persist every cell as an error
         check_time_limit(self.time_limit)
+        if self.scale not in ("small", "paper"):
+            raise ValidationError(f"unknown scale {self.scale!r}")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {self.workers}")
 
     def make_scenario(self, seed: int) -> Scenario:
         if self.scale == "paper":
             return paper_scenario(seed)
-        if self.scale == "small":
-            return small_scenario(seed, num_requests=self.num_requests)
-        raise ValidationError(f"unknown scale {self.scale!r}")
+        return small_scenario(seed, num_requests=self.num_requests)
 
     @classmethod
     def quick(cls) -> "EvaluationConfig":
@@ -108,10 +117,10 @@ class EvaluationConfig:
 class Evaluation:
     """Runs the sweep lazily and renders the figures.
 
-    Pass ``store_path`` to persist every record as it is produced
-    (JSON-lines via :mod:`repro.evaluation.persistence`); re-creating
-    the Evaluation with the same path *resumes*: cells already on disk
-    are loaded instead of re-solved.
+    Pass ``store_path`` to persist every record the moment its cell
+    finishes (JSON-lines via :mod:`repro.evaluation.persistence`);
+    re-creating the Evaluation with the same path and sweep settings
+    *resumes*: cells already on disk are loaded instead of re-solved.
     """
 
     config: EvaluationConfig = field(default_factory=EvaluationConfig)
@@ -133,6 +142,7 @@ class Evaluation:
     _ran_access: bool = False
     _ran_greedy: bool = False
     _ran_objectives: bool = False
+    _trace_started: bool = field(default=False, init=False, repr=False)
 
     def _store(self):
         if self.store_path is None:
@@ -140,68 +150,68 @@ class Evaluation:
         if not hasattr(self, "_store_instance"):
             from repro.evaluation.persistence import RecordStore
 
-            self._store_instance = RecordStore(self.store_path)
+            sweep = {name: getattr(self.config, name) for name in _SWEEP_IDENTITY}
+            self._store_instance = RecordStore(self.store_path, sweep)
         return self._store_instance
-
-    def _stored_record(self, seed, flexibility, algorithm, objective):
-        store = self._store()
-        if store is None or not store.has(seed, flexibility, algorithm, objective):
-            return None
-        for record in store.records:
-            if (
-                record.seed == seed
-                and record.flexibility == flexibility
-                and record.algorithm == algorithm
-                and record.objective_name == objective
-            ):
-                return record
-        return None
-
-    def _persist(self, record: RunRecord) -> None:
-        store = self._store()
-        if store is not None:
-            store.add(record)
 
     # ------------------------------------------------------------------
     # sweeps
     # ------------------------------------------------------------------
-    # Each sweep builds its cells in the canonical serial order, hands
-    # the not-yet-stored ones to repro.runtime.parallel (which runs them
-    # in-process for workers=1 and across a fork pool otherwise), then
-    # integrates stored and computed records back in that same order —
-    # so resume semantics and record-file ordering are identical no
-    # matter how many workers ran.
+    def _run_phase(self, cells, verbose: bool) -> list[RunRecord]:
+        """Run one phase's cells and return their records in serial order
+        (the cells come in that order: ``cells[i].index == i``).
 
-    def _execute(self, cells) -> dict[int, RunRecord]:
-        """Run pending sweep cells; maps cell index -> record."""
-        from dataclasses import replace as dc_replace
+        Cells already in the store are loaded; the rest go to
+        :func:`repro.runtime.parallel.execute_cells`, and each fresh
+        record is appended to the store the moment it arrives (in
+        completion order when ``workers > 1``).  Then, in serial order,
+        the fresh cells' metrics are folded into the active registry and
+        their trace events appended to the trace file — so records,
+        metrics and trace are the same whatever ``workers`` is.
+        """
+        from repro.observability import SolveTrace, get_registry, use_trace
+        from repro.runtime.parallel import execute_cells
 
-        from repro.runtime.parallel import CellContext, execute_cells
-
-        ctx = CellContext.from_config(self.config)
-        if self.trace_path is not None and not ctx.capture_trace:
-            ctx = dc_replace(ctx, capture_trace=True)
-        results = execute_cells(
-            cells,
-            ctx,
-            workers=self.config.workers,
-            store_path=self.store_path,
-        )
-        if self.trace_path is not None:
-            self._write_trace(results)
-        return {result.index: result.record for result in results}
-
-    def _write_trace(self, results) -> None:
-        """Append the cells' trace events (serial index order) to the
-        trace file; the first write of this Evaluation truncates."""
-        from repro.observability import SolveTrace
-
-        trace = SolveTrace()
-        for result in results:  # already sorted by serial index
-            if result.trace_events:
+        store = self._store()
+        stored = {}
+        if store is not None:
+            for cell in cells:
+                record = store.get(
+                    cell.seed, cell.flexibility, cell.algorithm, cell.objective
+                )
+                if record is not None:
+                    stored[cell.index] = record
+        pending = [cell for cell in cells if cell.index not in stored]
+        trace = SolveTrace() if self.trace_path is not None else None
+        fresh = {}
+        # an active trace makes every cell capture its own events
+        with use_trace(trace):
+            for result in execute_cells(pending, self.config, self.config.workers):
+                if store is not None:
+                    store.add(result.record)
+                fresh[result.index] = result
+                if verbose:
+                    cell, record = cells[result.index], result.record
+                    print(
+                        f"[{cell.phase}] {cell.label}: "
+                        f"obj={record.objective:.4g} gap={record.gap:.3g} "
+                        f"t={record.runtime:.2f}s"
+                    )
+        registry = get_registry()
+        records = []
+        for cell in cells:
+            result = fresh.get(cell.index)
+            if result is None:
+                records.append(stored[cell.index])
+                continue
+            records.append(result.record)
+            registry.merge(result.metrics)
+            if trace is not None and result.trace_events:
                 trace.events.extend(result.trace_events)
-        trace.write(self.trace_path, append=getattr(self, "_trace_started", False))
-        self._trace_started = True
+        if trace is not None:
+            trace.write(self.trace_path, append=self._trace_started)
+            self._trace_started = True
+        return records
 
     def run_access_control(self, verbose: bool = False) -> list[RunRecord]:
         """Figures 3/4/8/9 sweep: every model on every scenario cell."""
@@ -210,44 +220,24 @@ class Evaluation:
         from repro.runtime.parallel import SweepCell
 
         cfg = self.config
-        entries: list[RunRecord | SweepCell] = []
-        index = 0
-        for seed in cfg.seeds:
-            for flexibility in cfg.flexibilities:
-                for model_name in cfg.models:
-                    stored = self._stored_record(
-                        seed, flexibility, model_name, "access_control"
-                    )
-                    entries.append(
-                        stored
-                        if stored is not None
-                        else SweepCell(
-                            index=index,
-                            phase="access",
-                            seed=seed,
-                            flexibility=flexibility,
-                            algorithm=model_name,
-                        )
-                    )
-                    index += 1
-        computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
-        for entry in entries:
-            fresh = isinstance(entry, SweepCell)
-            record = computed[entry.index] if fresh else entry
-            if fresh:
-                self._persist(record)
+        cells = [
+            SweepCell(
+                index=index,
+                phase="access",
+                seed=seed,
+                flexibility=flexibility,
+                algorithm=model_name,
+            )
+            for index, (seed, flexibility, model_name) in enumerate(
+                product(cfg.seeds, cfg.flexibilities, cfg.models)
+            )
+        ]
+        for record in self._run_phase(cells, verbose):
             self.access_records.append(record)
             names = record.model_stats.get("embedded_names")
             if record.algorithm == "csigma" and names is not None:
                 self.accepted_sets[(record.seed, record.flexibility)] = tuple(
                     names
-                )
-            if fresh and verbose:
-                print(
-                    f"[access] seed={record.seed} "
-                    f"flex={record.flexibility:g} "
-                    f"{record.algorithm}: obj={record.objective:.4g} "
-                    f"gap={record.gap:.3g} t={record.runtime:.2f}s"
                 )
         self._ran_access = True
         return self.access_records
@@ -259,38 +249,19 @@ class Evaluation:
         from repro.runtime.parallel import SweepCell
 
         cfg = self.config
-        entries: list[RunRecord | SweepCell] = []
-        index = 0
-        for seed in cfg.seeds:
-            for flexibility in cfg.flexibilities:
-                stored = self._stored_record(
-                    seed, flexibility, "greedy", "access_control"
-                )
-                entries.append(
-                    stored
-                    if stored is not None
-                    else SweepCell(
-                        index=index,
-                        phase="greedy",
-                        seed=seed,
-                        flexibility=flexibility,
-                        algorithm="greedy",
-                    )
-                )
-                index += 1
-        computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
-        for entry in entries:
-            fresh = isinstance(entry, SweepCell)
-            record = computed[entry.index] if fresh else entry
-            if fresh:
-                self._persist(record)
-            self.greedy_records.append(record)
-            if fresh and verbose:
-                print(
-                    f"[greedy] seed={record.seed} "
-                    f"flex={record.flexibility:g}: "
-                    f"obj={record.objective:.4g} t={record.runtime:.2f}s"
-                )
+        cells = [
+            SweepCell(
+                index=index,
+                phase="greedy",
+                seed=seed,
+                flexibility=flexibility,
+                algorithm="greedy",
+            )
+            for index, (seed, flexibility) in enumerate(
+                product(cfg.seeds, cfg.flexibilities)
+            )
+        ]
+        self.greedy_records.extend(self._run_phase(cells, verbose))
         self._ran_greedy = True
         return self.greedy_records
 
@@ -307,44 +278,25 @@ class Evaluation:
         from repro.runtime.parallel import SweepCell
 
         cfg = self.config
-        entries: list[RunRecord | SweepCell] = []
-        index = 0
-        for seed in cfg.seeds:
-            for flexibility in cfg.flexibilities:
-                accepted = self.accepted_sets.get((seed, flexibility), ())
-                if not accepted:
-                    continue
-                for objective in FIXED_OBJECTIVES:
-                    stored = self._stored_record(
-                        seed, flexibility, "csigma", objective
-                    )
-                    entries.append(
-                        stored
-                        if stored is not None
-                        else SweepCell(
-                            index=index,
-                            phase="objective",
-                            seed=seed,
-                            flexibility=flexibility,
-                            algorithm="csigma",
-                            objective=objective,
-                            force_embedded=tuple(accepted),
-                        )
-                    )
-                    index += 1
-        computed = self._execute([e for e in entries if isinstance(e, SweepCell)])
-        for entry in entries:
-            fresh = isinstance(entry, SweepCell)
-            record = computed[entry.index] if fresh else entry
-            if fresh:
-                self._persist(record)
-            self.objective_records.append(record)
-            if fresh and verbose:
-                print(
-                    f"[{record.objective_name}] seed={record.seed} "
-                    f"flex={record.flexibility:g}: "
-                    f"obj={record.objective:.4g} t={record.runtime:.2f}s"
-                )
+        grid = [
+            (seed, flexibility, self.accepted_sets[(seed, flexibility)], objective)
+            for seed, flexibility in product(cfg.seeds, cfg.flexibilities)
+            if self.accepted_sets.get((seed, flexibility))
+            for objective in FIXED_OBJECTIVES
+        ]
+        cells = [
+            SweepCell(
+                index=index,
+                phase="objective",
+                seed=seed,
+                flexibility=flexibility,
+                algorithm="csigma",
+                objective=objective,
+                force_embedded=accepted,
+            )
+            for index, (seed, flexibility, accepted, objective) in enumerate(grid)
+        ]
+        self.objective_records.extend(self._run_phase(cells, verbose))
         self._ran_objectives = True
         return self.objective_records
 
@@ -427,9 +379,7 @@ class Evaluation:
         for record in self.greedy_records:
             opt = exact.get((record.seed, record.flexibility), math.nan)
             shortfall = relative_performance(record.objective, opt)
-            shortfalls.append(
-                replace_record(record, objective=shortfall)
-            )
+            shortfalls.append(replace(record, objective=shortfall))
         series = {
             "greedy vs csigma": series_over_flexibility(
                 shortfalls, lambda r: r.objective
@@ -473,9 +423,8 @@ class Evaluation:
                 continue
             base = baselines.get(record.seed, math.nan)
             improvements.append(
-                replace_record(
-                    record,
-                    objective=relative_improvement(record.objective, base),
+                replace(
+                    record, objective=relative_improvement(record.objective, base)
                 )
             )
         series = {
@@ -535,9 +484,3 @@ class Evaluation:
             parts.append(self.figure8_chart())
         return "\n\n".join(parts)
 
-
-def replace_record(record: RunRecord, **changes) -> RunRecord:
-    """Shallow copy of a record with fields replaced."""
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(record, **changes)

@@ -4,11 +4,21 @@ A paper-scale sweep (24 scenarios × 11 flexibilities × 3 formulations
 × 1 h limits) runs for days; losing the records to a crash or wanting
 to re-render figures without re-solving demands persistence.  Records
 are stored as JSON-lines (one record per line, append-friendly) with a
-small header line identifying the stream.
+small header line identifying the stream and the sweep that wrote it.
 
 The :class:`RecordStore` wraps an :class:`~repro.evaluation.experiments.Evaluation`
 so interrupted sweeps resume: cells whose records are already on disk
-are not re-solved.
+are not re-solved.  The sweep process is the only writer: it appends
+each cell's record the moment the cell finishes, serial or parallel,
+so a crash loses only the cells still running.  A parallel sweep's
+store is in completion order; resume looks records up by cell key, so
+nothing reads file order.
+
+The header's ``sweep`` block holds the settings a record depends on
+beyond its cell key (``scale``, ``num_requests``, ``time_limit``,
+``backend``, ``load_fraction``); a :class:`RecordStore` opened for
+another sweep raises :class:`ValidationError` instead of returning the
+other sweep's records.
 
 Crash safety: a process killed mid-append leaves a torn final line;
 :func:`load_records` skips such lines with a warning instead of losing
@@ -24,7 +34,7 @@ import logging
 import math
 import os
 from dataclasses import asdict, fields
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.evaluation.runner import RunRecord
 from repro.exceptions import ValidationError
@@ -33,15 +43,13 @@ __all__ = [
     "save_records",
     "load_records",
     "append_record",
-    "shard_path",
-    "list_shard_paths",
-    "merge_shards",
     "RecordStore",
 ]
 
 logger = logging.getLogger("repro.runtime")
 
-_HEADER = {"format": "tvnep-records", "version": 1}
+_FORMAT = "tvnep-records"
+_VERSION = 2
 
 _FIELD_NAMES = frozenset(f.name for f in fields(RunRecord))
 
@@ -67,8 +75,18 @@ def _decode(payload: dict) -> RunRecord:
     return RunRecord(**{k: v for k, v in payload.items() if k in _FIELD_NAMES})
 
 
-def save_records(records: Iterable[RunRecord], path: str) -> int:
+def _header(sweep: Mapping | None) -> str:
+    header = {"format": _FORMAT, "version": _VERSION, "sweep": dict(sweep or {})}
+    return json.dumps(header) + "\n"
+
+
+def save_records(
+    records: Iterable[RunRecord], path: str, sweep: Mapping | None = None
+) -> int:
     """Write records as JSON-lines; returns how many were written.
+
+    ``sweep`` is the identity recorded in the header (see
+    :class:`RecordStore`).
 
     The write is atomic: records go to a sibling temporary file which
     replaces ``path`` only after everything is flushed to disk, so a
@@ -78,7 +96,7 @@ def save_records(records: Iterable[RunRecord], path: str) -> int:
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_HEADER) + "\n")
+            fh.write(_header(sweep))
             for record in records:
                 fh.write(json.dumps(_encode(record)) + "\n")
                 count += 1
@@ -91,12 +109,14 @@ def save_records(records: Iterable[RunRecord], path: str) -> int:
     return count
 
 
-def append_record(record: RunRecord, path: str) -> None:
+def append_record(
+    record: RunRecord, path: str, sweep: Mapping | None = None
+) -> None:
     """Append one record, creating the file (with header) if missing."""
     exists = os.path.exists(path) and os.path.getsize(path) > 0
     with open(path, "a", encoding="utf-8") as fh:
         if not exists:
-            fh.write(json.dumps(_HEADER) + "\n")
+            fh.write(_header(sweep))
         fh.write(json.dumps(_encode(record)) + "\n")
 
 
@@ -109,11 +129,16 @@ def load_records(path: str) -> list[RunRecord]:
     warning so the intact prefix survives; a resumed sweep re-solves
     only the dropped cells.
     """
+    return _read(path)[1]
+
+
+def _read(path: str) -> tuple[dict | None, list[RunRecord]]:
+    """The header (``None`` if empty or unreadable) and the records."""
     records: list[RunRecord] = []
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
-            return []
+            return None, []
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError:
@@ -121,8 +146,8 @@ def load_records(path: str) -> list[RunRecord]:
                 "record file %s has an unreadable header; treating as empty",
                 path,
             )
-            return []
-        if not isinstance(header, dict) or header.get("format") != _HEADER["format"]:
+            return None, []
+        if not isinstance(header, dict) or header.get("format") != _FORMAT:
             fmt = header.get("format") if isinstance(header, dict) else header
             raise ValidationError(f"not a record stream (format={fmt!r})")
         for lineno, line in enumerate(fh, start=2):
@@ -135,92 +160,53 @@ def load_records(path: str) -> list[RunRecord]:
                 logger.warning(
                     "skipping corrupt record at %s:%d (%s)", path, lineno, exc
                 )
-    return records
-
-
-def shard_path(path: str, worker_id: int) -> str:
-    """The per-worker shard file for ``path`` (parallel sweeps).
-
-    Concurrent sweep workers never touch the main store: each appends
-    to its own shard, so there is exactly one writer per file and the
-    main store keeps its single-writer guarantees.
-    """
-    return f"{path}.shard-{worker_id:03d}"
-
-
-def list_shard_paths(path: str) -> list[str]:
-    """Existing shard files of ``path``, in worker order."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    prefix = os.path.basename(path) + ".shard-"
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return []
-    return [
-        os.path.join(directory, name)
-        for name in sorted(names)
-        if name.startswith(prefix)
-    ]
-
-
-def merge_shards(path: str) -> int:
-    """Fold leftover worker shards into the main store; returns #recovered.
-
-    Shards only outlive a sweep when the parent crashed before
-    persisting the pool's results, so every record found here is work
-    that would otherwise be re-solved.  Records whose cell is already
-    in the main store are dropped (the parent may have persisted some
-    results before dying); the merged file is rewritten atomically and
-    the shards are removed.
-    """
-    shards = list_shard_paths(path)
-    if not shards:
-        return 0
-    merged: list[RunRecord] = load_records(path) if os.path.exists(path) else []
-    cells = {RecordStore._cell(r) for r in merged}
-    recovered = 0
-    for shard in shards:
-        try:
-            shard_records = load_records(shard)
-        except ValidationError as exc:
-            logger.warning("ignoring unreadable shard %s (%s)", shard, exc)
-            continue
-        for record in shard_records:
-            cell = RecordStore._cell(record)
-            if cell in cells:
-                continue
-            merged.append(record)
-            cells.add(cell)
-            recovered += 1
-    if recovered:
-        logger.warning(
-            "recovered %d record(s) from %d orphaned shard(s) of %s",
-            recovered,
-            len(shards),
-            path,
-        )
-        save_records(merged, path)
-    for shard in shards:
-        os.remove(shard)
-    return recovered
+    return header, records
 
 
 class RecordStore:
     """Append-only store with cell-level resume semantics.
 
     A *cell* is ``(seed, flexibility, algorithm, objective_name)``;
-    :meth:`has` answers whether it was already measured, :meth:`add`
-    appends and indexes a new record.
+    :meth:`has` answers whether it was already measured, :meth:`get`
+    returns its record, :meth:`add` appends and indexes a new record.
+
+    ``sweep`` is the identity of the sweep the records belong to (the
+    settings a record depends on beyond its cell key).  It is written
+    to the header of a new file; an existing file whose header records
+    a different identity, or none, raises :class:`ValidationError`
+    naming the differing fields.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, sweep: Mapping | None = None) -> None:
         self.path = path
-        merge_shards(path)  # fold in shards orphaned by a mid-sweep crash
-        self.records: list[RunRecord] = (
-            load_records(path) if os.path.exists(path) else []
+        self.sweep = dict(sweep or {})
+        header, self.records = (
+            _read(path) if os.path.exists(path) else (None, [])
         )
-        self._cells = {self._cell(r) for r in self.records}
+        if header is not None:
+            self._check_sweep(header)
+        self._cells: dict[tuple, RunRecord] = {}
+        for record in self.records:
+            self._cells.setdefault(self._cell(record), record)
         self._repair_torn_tail()
+
+    def _check_sweep(self, header: dict) -> None:
+        stored = header.get("sweep")
+        if not isinstance(stored, dict):
+            raise ValidationError(
+                f"record store {self.path} records no sweep identity "
+                f"(header version {header.get('version')}); use a new store"
+            )
+        differing = [
+            f"{name} {stored.get(name)!r} (store) != {self.sweep.get(name)!r}"
+            for name in sorted(stored.keys() | self.sweep.keys())
+            if stored.get(name) != self.sweep.get(name)
+        ]
+        if differing:
+            raise ValidationError(
+                f"record store {self.path} belongs to another sweep: "
+                + ", ".join(differing)
+            )
 
     def _repair_torn_tail(self) -> None:
         """Atomically rewrite the file if its tail is torn.
@@ -240,7 +226,7 @@ class RecordStore:
             self.path,
             len(self.records),
         )
-        save_records(self.records, self.path)
+        save_records(self.records, self.path, self.sweep)
 
     @staticmethod
     def _cell(record: RunRecord) -> tuple:
@@ -260,10 +246,19 @@ class RecordStore:
     ) -> bool:
         return (seed, flexibility, algorithm, objective_name) in self._cells
 
+    def get(
+        self,
+        seed: int | None,
+        flexibility: float,
+        algorithm: str,
+        objective_name: str = "access_control",
+    ) -> RunRecord | None:
+        return self._cells.get((seed, flexibility, algorithm, objective_name))
+
     def add(self, record: RunRecord) -> None:
-        append_record(record, self.path)
+        append_record(record, self.path, self.sweep)
         self.records.append(record)
-        self._cells.add(self._cell(record))
+        self._cells.setdefault(self._cell(record), record)
 
     def __len__(self) -> int:
         return len(self.records)

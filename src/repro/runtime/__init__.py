@@ -9,9 +9,10 @@ and the backend registry):
 * :class:`FaultInjector` — a deterministic fault-injection harness used
   by the tests to prove that a failed solve surfaces as the cell's own
   failure and the sweep runner continues (:mod:`repro.runtime.faults`);
-* the parallel sweep engine — process-pool execution of evaluation
-  cells with crash-safe per-worker record shards and serial-identical
-  results (:mod:`repro.runtime.parallel`).
+* the parallel sweep engine — in-process or process-pool execution of
+  evaluation cells, yielding each cell's result as it finishes so the
+  caller persists it at once; results are serial-identical
+  (:mod:`repro.runtime.parallel`).
 
 The only time bound is the per-solve ``time_limit`` each caller passes
 (the CLI's ``--time-limit``, ``EvaluationConfig.time_limit``, the
@@ -29,20 +30,16 @@ from repro.runtime.backends import (
 )
 from repro.runtime.faults import FaultInjector, FaultMode, inject_faults
 from repro.runtime.parallel import (
-    CellContext,
     CellResult,
     SweepCell,
     canonical_record,
     canonical_records,
     execute_cells,
-    run_cell,
 )
 
 __all__ = [
     "SweepCell",
-    "CellContext",
     "CellResult",
-    "run_cell",
     "execute_cells",
     "canonical_record",
     "canonical_records",

@@ -1,24 +1,24 @@
 """The process-pool sweep engine.
 
 The evaluation sweep is a grid of *independent* solve cells
-(seed × flexibility × algorithm × objective); this module shards those
-cells across worker processes:
+(seed × flexibility × algorithm × objective); :func:`execute_cells`
+runs them in-process or across a process pool and yields each cell's
+result the moment the cell finishes:
 
 * **Determinism.**  Cells carry their position in the serial sweep
-  order (``SweepCell.index``); workers receive a round-robin partition
-  and the merged results are re-sorted by index, so the integrated
-  record sequence is identical to a serial run (scenario generation is
-  seeded per cell, nothing depends on worker scheduling).  Only the
-  wall-clock ``runtime`` fields differ between runs — compare record
-  sets with :func:`canonical_records`.  Each cell is bounded only by
-  its own ``time_limit``; no cell's limit depends on how long the
-  others took, so ``workers=N`` yields the same records as a serial run.
-* **Crash safety.**  Each worker appends finished records to its own
-  shard file (``<store>.shard-NNN``) as it goes; the parent persists
-  the merged results to the main store and discards the shards.  After
-  a mid-sweep crash the shards survive and
-  :class:`~repro.evaluation.persistence.RecordStore` folds them back
-  in on the next run, so no completed cell is ever re-solved.
+  order (``SweepCell.index``), and each cell rebuilds its scenario from
+  its seed (the generator is deterministic), so a cell's record does
+  not depend on where or when it ran.  Results arrive in completion
+  order; :class:`~repro.evaluation.experiments.Evaluation` integrates
+  them by index, so the record sequence, merged metrics and trace file
+  are identical to a serial run.  Only the wall-clock ``runtime``
+  fields differ between runs — compare record sets with
+  :func:`canonical_records`.  Each cell is bounded only by its own
+  ``time_limit``, so ``workers=N`` yields the same records as a serial
+  run.
+* **One writer.**  Workers write nothing; the caller persists each
+  yielded record, so a crash loses only the cells still running, in
+  either mode.
 * **Fault-injection transparency.**  Workers are forked where the
   platform allows, so a registry poisoned via
   :func:`repro.runtime.faults.inject_faults` (or any
@@ -34,14 +34,12 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-import os
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 __all__ = [
     "SweepCell",
-    "CellContext",
     "CellResult",
-    "run_cell",
     "execute_cells",
     "canonical_record",
     "canonical_records",
@@ -68,43 +66,14 @@ class SweepCell:
         return f"seed={self.seed} flex={self.flexibility:g} {what}"
 
 
-@dataclass(frozen=True)
-class CellContext:
-    """The slice of :class:`EvaluationConfig` a worker needs.
-
-    Kept primitive (no scenario/network objects) so the payload pickles
-    cheaply and workers rebuild scenarios from the seed — the generator
-    is deterministic, so every worker sees byte-identical instances.
-    """
-
-    scale: str
-    num_requests: int
-    time_limit: float
-    backend: str
-    load_fraction: float
-    capture_trace: bool = False
-
-    @classmethod
-    def from_config(cls, config) -> "CellContext":
-        return cls(
-            scale=config.scale,
-            num_requests=config.num_requests,
-            time_limit=config.time_limit,
-            backend=config.backend,
-            load_fraction=config.load_fraction,
-            capture_trace=getattr(config, "capture_trace", False),
-        )
-
-
 @dataclass
 class CellResult:
     """Outcome of one cell: its record plus its telemetry.
 
-    ``metrics`` is the cell's scoped registry snapshot (merged into the
-    parent's registry by :func:`execute_cells` — commutatively, so a
-    parallel run merges to the same totals as a serial one);
-    ``trace_events`` are the cell's :class:`SolveTrace` events when the
-    context asked for ``capture_trace`` (plain dicts, pool-picklable).
+    ``metrics`` is the cell's scoped registry snapshot, for the caller
+    to fold into its registry; ``trace_events`` are the cell's
+    :class:`SolveTrace` events (plain dicts, pool-picklable) when a
+    trace was active at dispatch, else ``None``.
     """
 
     index: int
@@ -113,38 +82,7 @@ class CellResult:
     trace_events: list | None = None
 
 
-def _make_scenario(ctx: CellContext, cell: SweepCell):
-    from repro.workloads.scenario import paper_scenario, small_scenario
-
-    if ctx.scale == "paper":
-        base = paper_scenario(cell.seed)
-    else:
-        base = small_scenario(cell.seed, num_requests=ctx.num_requests)
-    scenario = base.with_flexibility(cell.flexibility)
-    if cell.force_embedded:
-        scenario = scenario.subset(cell.force_embedded)
-    return scenario
-
-
-def run_cell(cell: SweepCell, ctx: CellContext):
-    """Solve one cell and return its ``RunRecord``.
-
-    Mirrors the serial sweep exactly: a failed solve becomes an
-    explicit ``status="error"`` record, and solved
-    access-control cells carry their embedded request names in
-    ``model_stats`` for the fixed-objective phase.
-
-    The cell's scoped metrics snapshot is folded into the *ambient*
-    registry, so direct callers keep accumulating process totals.
-    """
-    from repro.observability import get_registry
-
-    result = _run_cell_result(cell, ctx)
-    get_registry().merge(result.metrics)
-    return result.record
-
-
-def _run_cell_result(cell: SweepCell, ctx: CellContext) -> CellResult:
+def _run_cell(task) -> CellResult:
     """Solve one cell under a fresh registry (and trace, when asked).
 
     The cell's telemetry is computed from a registry scoped to exactly
@@ -161,11 +99,14 @@ def _run_cell_result(cell: SweepCell, ctx: CellContext) -> CellResult:
         use_trace,
     )
 
-    scenario = _make_scenario(ctx, cell)
+    cell, config, traced = task
+    scenario = config.make_scenario(cell.seed).with_flexibility(cell.flexibility)
+    if cell.force_embedded:
+        scenario = scenario.subset(cell.force_embedded)
     registry = MetricsRegistry()
-    trace = SolveTrace(context={"cell": cell.label}) if ctx.capture_trace else None
+    trace = SolveTrace(context={"cell": cell.label}) if traced else None
     with use_registry(registry), use_trace(trace):
-        record = _solve_cell(cell, ctx, scenario)
+        record = _solve_cell(cell, config, scenario)
     snapshot = registry.snapshot()
     record.telemetry = telemetry_block(snapshot)
     return CellResult(
@@ -176,16 +117,16 @@ def _run_cell_result(cell: SweepCell, ctx: CellContext) -> CellResult:
     )
 
 
-def _solve_cell(cell: SweepCell, ctx: CellContext, scenario):
+def _solve_cell(cell: SweepCell, config, scenario):
     from repro.evaluation.runner import error_record, run_exact, run_greedy
     from repro.exceptions import ReproError
 
     try:
         if cell.phase == "greedy":
-            record, _ = run_greedy(scenario, time_limit=ctx.time_limit)
+            record, _ = run_greedy(scenario, time_limit=config.time_limit)
         elif cell.phase == "objective":
             kwargs = (
-                {"load_fraction": ctx.load_fraction}
+                {"load_fraction": config.load_fraction}
                 if cell.objective == "balance_node_load"
                 else {}
             )
@@ -193,8 +134,8 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, scenario):
                 scenario,
                 algorithm=cell.algorithm,
                 objective=cell.objective,
-                time_limit=ctx.time_limit,
-                backend=ctx.backend,
+                time_limit=config.time_limit,
+                backend=config.backend,
                 force_embedded=cell.force_embedded,
                 objective_kwargs=kwargs,
             )
@@ -203,8 +144,8 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, scenario):
                 scenario,
                 algorithm=cell.algorithm,
                 objective="access_control",
-                time_limit=ctx.time_limit,
-                backend=ctx.backend,
+                time_limit=config.time_limit,
+                backend=config.backend,
             )
             if record.solved and solution is not None:
                 record.model_stats["embedded_names"] = list(
@@ -212,23 +153,8 @@ def _solve_cell(cell: SweepCell, ctx: CellContext, scenario):
                 )
     except ReproError as exc:
         logger.error("cell %s failed: %s", cell.label, exc)
-        algorithm = "greedy" if cell.phase == "greedy" else cell.algorithm
-        record = error_record(scenario, algorithm, cell.objective, str(exc))
+        record = error_record(scenario, cell.algorithm, cell.objective, str(exc))
     return record
-
-
-def _run_cell_batch(payload):
-    """Worker entry point: solve a chunk, appending to a shard file."""
-    cells, ctx, shard = payload
-    from repro.evaluation.persistence import append_record
-
-    results = []
-    for cell in cells:
-        result = _run_cell_result(cell, ctx)
-        if shard is not None:
-            append_record(result.record, shard)
-        results.append(result)
-    return results
 
 
 def _pool_context():
@@ -240,71 +166,36 @@ def _pool_context():
 
 
 def execute_cells(
-    cells: list[SweepCell],
-    ctx: CellContext,
-    workers: int = 1,
-    store_path: str | None = None,
-) -> list[CellResult]:
-    """Run sweep cells, in-process or across a process pool.
+    cells: list[SweepCell], config, workers: int = 1
+) -> Iterator[CellResult]:
+    """Run sweep cells and yield each result as soon as its cell finishes.
 
-    Returns one :class:`CellResult` per cell, sorted by serial index —
-    the integration loop in :class:`~repro.evaluation.experiments.Evaluation`
-    therefore observes the exact serial order regardless of ``workers``.
-    Persisting merged records to the main store is the *caller's* job
-    (single-writer); worker shards exist purely for crash recovery and
-    are discarded once the pool has delivered everything.
+    ``config`` is the sweep's
+    :class:`~repro.evaluation.experiments.EvaluationConfig`.  With
+    ``workers=1`` the cells run in-process, in the given order;
+    otherwise ``min(workers, len(cells))`` forked processes take one
+    cell at a time and results arrive in completion order.  Each cell
+    captures its trace events when a trace is active (see
+    :func:`repro.observability.use_trace`) at the first ``next()``.
     """
-    if not cells:
-        return []
-    if workers <= 1 or len(cells) == 1:
-        return _merge_results([_run_cell_result(cell, ctx) for cell in cells])
+    from repro.observability import current_trace
 
-    from repro.evaluation.persistence import shard_path
-
-    chunks = [cells[k::workers] for k in range(workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-    payloads = [
-        (
-            chunk,
-            ctx,
-            shard_path(store_path, k) if store_path is not None else None,
-        )
-        for k, chunk in enumerate(chunks)
-    ]
+    traced = current_trace() is not None
+    tasks = [(cell, config, traced) for cell in cells]
+    if workers <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield _run_cell(task)
+        return
     context = _pool_context()
+    processes = min(workers, len(tasks))
     logger.info(
         "dispatching %d cells to %d workers (%s start method)",
-        len(cells),
-        len(chunks),
+        len(tasks),
+        processes,
         context.get_start_method(),
     )
-    with context.Pool(processes=len(chunks)) as pool:
-        batches = pool.map(_run_cell_batch, payloads)
-    results = [result for batch in batches for result in batch]
-    results.sort(key=lambda r: r.index)
-    # everything was delivered in-memory; the crash-safety shards have
-    # served their purpose (the caller persists to the main store next)
-    if store_path is not None:
-        for k in range(len(chunks)):
-            path = shard_path(store_path, k)
-            if os.path.exists(path):
-                os.remove(path)
-    return _merge_results(results)
-
-
-def _merge_results(results: list[CellResult]) -> list[CellResult]:
-    """Fold per-cell metrics snapshots into the ambient registry.
-
-    Results arrive sorted by serial index and counter/histogram merging
-    is commutative, so the merged totals are identical for serial and
-    parallel execution of the same cells.
-    """
-    from repro.observability import get_registry
-
-    registry = get_registry()
-    for result in results:
-        registry.merge(result.metrics)
-    return results
+    with context.Pool(processes=processes) as pool:
+        yield from pool.imap_unordered(_run_cell, tasks)
 
 
 # ----------------------------------------------------------------------

@@ -92,13 +92,27 @@ class TestConfig:
         assert config.models == ("csigma",)
 
     def test_unknown_scale_rejected(self):
+        # rejected where it enters, not when the first scenario is
+        # built: the sweep would otherwise run small scenarios under it
         from dataclasses import replace
 
         from repro.exceptions import ValidationError
 
-        config = replace(EvaluationConfig(), scale="galactic")
-        with pytest.raises(ValidationError):
-            config.make_scenario(0)
+        with pytest.raises(ValidationError, match="galactic"):
+            EvaluationConfig(scale="galactic")
+        with pytest.raises(ValidationError, match="galactic"):
+            replace(EvaluationConfig(), scale="galactic")
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_invalid_workers_rejected(self, bad):
+        from dataclasses import replace
+
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match="workers"):
+            EvaluationConfig(workers=bad)
+        with pytest.raises(ValidationError, match="workers"):
+            replace(EvaluationConfig.quick(), workers=bad)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_invalid_time_limit_rejected(self, bad):
@@ -129,3 +143,54 @@ class TestResume:
             r.runtime for r in first.access_records
         ]
         assert resumed.figure3_runtime() == first.figure3_runtime()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"scale": "paper", "num_requests": 6, "time_limit": 1.0},
+            {"time_limit": 5.0},
+            {"backend": "bnb"},
+            {"load_fraction": 0.25},
+            {"num_requests": 4},
+        ],
+    )
+    def test_store_of_another_sweep_rejected(self, tmp_path, change):
+        """A store resumed under different sweep settings would hand back
+        the other sweep's records as this sweep's cells."""
+        from dataclasses import replace
+
+        from repro.exceptions import ValidationError
+
+        config = EvaluationConfig(
+            seeds=(0,),
+            flexibilities=(0.0,),
+            models=("csigma",),
+            time_limit=20.0,
+            num_requests=3,
+        )
+        path = str(tmp_path / "records.jsonl")
+        Evaluation(config, store_path=path).run_access_control()
+        other = Evaluation(replace(config, **change), store_path=path)
+        with pytest.raises(ValidationError) as exc:
+            other.run_access_control()
+        assert all(name in str(exc.value) for name in change)
+
+    def test_store_settings_outside_the_identity_resume(self, tmp_path):
+        # seeds, flexibilities, models and workers only choose cells
+        from dataclasses import replace
+
+        config = EvaluationConfig(
+            seeds=(0,),
+            flexibilities=(0.0,),
+            models=("csigma",),
+            time_limit=20.0,
+            num_requests=3,
+        )
+        path = str(tmp_path / "records.jsonl")
+        Evaluation(config, store_path=path).run_access_control()
+        wider = Evaluation(
+            replace(config, flexibilities=(0.0, 1.0), models=("csigma", "delta")),
+            store_path=path,
+        )
+        assert len(wider.run_access_control()) == 4
+

@@ -1,10 +1,11 @@
-"""The parallel sweep engine: serial-identical records, shard safety.
+"""The sweep engine: serial-identical records, crash safety.
 
 Acceptance scenario of the parallel engine: a quick sweep run with
 ``workers=4`` must produce the same record set as ``workers=1`` — for
-healthy cells and for fault-injected error cells alike — and the
-per-worker shard files must make concurrent writers safe and crashes
-recoverable.
+healthy cells and for fault-injected error cells alike.  On both paths
+the sweep process persists each record the moment its cell finishes,
+so a crash loses only the cells still running and a resume finishes
+with the records of a clean run.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from dataclasses import replace
 import pytest
 
 from repro.evaluation import Evaluation, EvaluationConfig
-from repro.evaluation.persistence import (
-    RecordStore,
-    append_record,
-    load_records,
-    merge_shards,
-    shard_path,
-)
+from repro.evaluation.persistence import RecordStore, load_records
 from repro.evaluation.runner import RunRecord
-from repro.runtime import inject_faults
+from repro.runtime import inject_faults, parallel
 from repro.runtime.parallel import canonical_records
 
 needs_fork = pytest.mark.skipif(
@@ -49,24 +44,6 @@ def run_records(evaluation: Evaluation) -> list[RunRecord]:
     )
 
 
-def make_record(seed, flex, algorithm="csigma", objective_name="access_control"):
-    return RunRecord(
-        scenario=f"s{seed}",
-        seed=seed,
-        flexibility=flex,
-        algorithm=algorithm,
-        objective_name=objective_name,
-        objective=41.5,
-        gap=0.0,
-        runtime=1.25,
-        num_embedded=3,
-        num_requests=6,
-        node_count=17,
-        status="solved",
-        verified_feasible=True,
-    )
-
-
 class TestSerialParallelEquivalence:
     @needs_fork
     def test_quick_sweep_identical_records(self, tmp_path):
@@ -82,14 +59,17 @@ class TestSerialParallelEquivalence:
         assert canonical_records(records_serial) == canonical_records(
             records_parallel
         )
-        # the persisted streams match cell-for-cell, in serial order
+        # the serial store is in serial order; the parallel one holds the
+        # same cells, each exactly once, in completion order
         on_disk_serial = load_records(str(tmp_path / "serial.jsonl"))
         on_disk_parallel = load_records(str(tmp_path / "parallel.jsonl"))
-        assert [RecordStore._cell(r) for r in on_disk_serial] == [
-            RecordStore._cell(r) for r in on_disk_parallel
-        ]
-        # no shard files survive a clean run
-        assert not [p for p in os.listdir(tmp_path) if ".shard-" in p]
+        serial_cells = [RecordStore._cell(r) for r in on_disk_serial]
+        parallel_cells = [RecordStore._cell(r) for r in on_disk_parallel]
+        assert serial_cells == [RecordStore._cell(r) for r in records_serial]
+        assert len(set(parallel_cells)) == len(parallel_cells)
+        assert sorted(parallel_cells) == sorted(serial_cells)
+        # the sweep writes nothing besides the store files
+        assert sorted(os.listdir(tmp_path)) == ["parallel.jsonl", "serial.jsonl"]
 
     @needs_fork
     def test_fault_injected_error_cells_match(self, tmp_path):
@@ -141,60 +121,68 @@ class TestSerialParallelEquivalence:
         assert all(r.status != "error" for r in records)
 
 
-class TestShardSafety:
-    def test_concurrent_writers_on_distinct_shards(self, tmp_path):
-        """Two processes racing on one store path, each on its own
-        shard: every record survives, exactly once."""
+CRASH_INDEX = 3  # the 4th access-control cell in serial order
+
+
+def crash_on_fourth_cell(monkeypatch) -> None:
+    """Make the 4th access-control cell raise a non-``ReproError``,
+    which no cell turns into an error record: the sweep dies."""
+    solve_cell = parallel._solve_cell
+
+    def faulty(cell, config, scenario):
+        if cell.phase == "access" and cell.index == CRASH_INDEX:
+            raise RuntimeError("simulated crash")
+        return solve_cell(cell, config, scenario)
+
+    monkeypatch.setattr(parallel, "_solve_cell", faulty)
+
+
+def assert_whole_distinct_cells(store_path: str) -> list[RunRecord]:
+    with open(store_path, encoding="utf-8") as fh:
+        content = fh.read()
+    on_disk = load_records(store_path)
+    # every line is a whole record (no torn tail), every cell appears once
+    assert content.endswith("\n")
+    assert len(content.splitlines()) == len(on_disk) + 1
+    cells = [RecordStore._cell(r) for r in on_disk]
+    assert len(set(cells)) == len(cells)
+    return on_disk
+
+
+class TestCrashSafety:
+    """A sweep killed mid-phase keeps every record finished before it."""
+
+    def crash_then_resume(self, tmp_path, monkeypatch, config):
         store_path = str(tmp_path / "records.jsonl")
-        flexes = [i * 0.25 for i in range(8)]
+        with monkeypatch.context() as patch:
+            crash_on_fourth_cell(patch)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                Evaluation(config, store_path=store_path).run_all()
+        on_disk = assert_whole_distinct_cells(store_path)
 
-        def write_shard(worker_id: int) -> None:
-            for flex in flexes:
-                append_record(
-                    make_record(worker_id, flex), shard_path(store_path, worker_id)
-                )
+        resumed = run_records(Evaluation(config, store_path=store_path))
+        clean = run_records(Evaluation(config))
+        assert canonical_records(resumed) == canonical_records(clean)
+        # the records kept through the crash were loaded, not re-solved
+        by_cell = {RecordStore._cell(r): r for r in resumed}
+        for record in on_disk:
+            assert by_cell[RecordStore._cell(record)].runtime == record.runtime
+        return on_disk
 
-        procs = [
-            multiprocessing.Process(target=write_shard, args=(k,))
-            for k in range(2)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-            assert p.exitcode == 0
+    def test_serial_crash_keeps_the_finished_cells(self, tmp_path, monkeypatch):
+        config = quick_config()
+        on_disk = self.crash_then_resume(tmp_path, monkeypatch, config)
+        first_three = [
+            (seed, flexibility, model, "access_control")
+            for seed in config.seeds
+            for flexibility in config.flexibilities
+            for model in config.models
+        ][:CRASH_INDEX]
+        assert [RecordStore._cell(r) for r in on_disk] == first_three
 
-        store = RecordStore(store_path)
-        assert len(store) == 2 * len(flexes)
-        assert len({RecordStore._cell(r) for r in store.records}) == len(store)
-        # the shards were folded in and removed
-        assert not os.path.exists(shard_path(store_path, 0))
-        assert not os.path.exists(shard_path(store_path, 1))
-
-    def test_merge_dedupes_against_main_store(self, tmp_path):
-        store_path = str(tmp_path / "records.jsonl")
-        duplicated = make_record(0, 0.0)
-        append_record(duplicated, store_path)
-        append_record(duplicated, shard_path(store_path, 0))
-        append_record(make_record(0, 1.0), shard_path(store_path, 0))
-
-        assert merge_shards(store_path) == 1
-        records = load_records(store_path)
-        assert len(records) == 2
-        assert merge_shards(store_path) == 0  # idempotent, shards gone
-
-    def test_torn_shard_tail_recovers_intact_prefix(self, tmp_path):
-        """A worker killed mid-append leaves a torn shard line; the
-        intact records still merge (reusing the torn-line tolerance)."""
-        store_path = str(tmp_path / "records.jsonl")
-        shard = shard_path(store_path, 0)
-        append_record(make_record(0, 0.0), shard)
-        append_record(make_record(0, 1.0), shard)
-        with open(shard, encoding="utf-8") as fh:
-            content = fh.read()
-        with open(shard, "w", encoding="utf-8") as fh:
-            fh.write(content[: len(content) - len(content.splitlines()[-1]) // 2])
-
-        store = RecordStore(store_path)
-        assert len(store) == 1
-        assert store.has(0, 0.0, "csigma")
+    @needs_fork
+    def test_parallel_crash_keeps_only_whole_cells(self, tmp_path, monkeypatch):
+        config = quick_config(workers=2)
+        on_disk = self.crash_then_resume(tmp_path, monkeypatch, config)
+        crashed = (0, config.flexibilities[1], config.models[0], "access_control")
+        assert crashed not in {RecordStore._cell(r) for r in on_disk}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -107,8 +109,6 @@ class TestCrashSafety:
         save_records([record(0, 0.0)], path)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        import json
-
         payload = json.loads(lines[1])
         payload["field_from_the_future"] = 42
         with open(path, "w", encoding="utf-8") as fh:
@@ -176,3 +176,39 @@ class TestRecordStore:
         r = record()
         store.add(r)
         assert not store.has(r.seed, r.flexibility, r.algorithm, "max_earliness")
+
+
+class TestSweepIdentity:
+    SWEEP = {"scale": "small", "num_requests": 4, "time_limit": 15.0}
+
+    def test_identity_round_trips(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        RecordStore(path, self.SWEEP).add(record(0, 0.0))
+        reopened = RecordStore(path, dict(self.SWEEP))
+        assert reopened.get(0, 0.0, "csigma") == record(0, 0.0)
+        with open(path, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        assert header["version"] == 2
+        assert header["sweep"] == self.SWEEP
+
+    def test_differing_identity_names_the_fields(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        RecordStore(path, self.SWEEP).add(record(0, 0.0))
+        other = dict(self.SWEEP, scale="paper", time_limit=1.0)
+        with pytest.raises(ValidationError) as exc:
+            RecordStore(path, other)
+        message = str(exc.value)
+        assert "scale" in message and "time_limit" in message
+        assert "num_requests" not in message
+
+    def test_header_without_identity_rejected(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"format": "tvnep-records", "version": 1}\n'
+            + json.dumps(asdict(record(0, 0.0)))
+            + "\n"
+        )
+        with pytest.raises(ValidationError, match="no sweep identity"):
+            RecordStore(str(path), self.SWEEP)
+        # the records themselves stay readable
+        assert load_records(str(path)) == [record(0, 0.0)]

@@ -220,6 +220,39 @@ class TestErrorHandling:
         assert value in last
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_invalid_workers_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--quick", "--seeds", "0", "--workers", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert "error: argument --workers" in last
+        assert value in last
+        assert "Traceback" not in err
+
+    def test_store_of_another_sweep_is_one_line_diagnostic(self, capsys, tmp_path):
+        from repro.evaluation.persistence import RecordStore
+        from repro.evaluation.runner import RunRecord
+
+        path = str(tmp_path / "records.jsonl")
+        sweep = {
+            "scale": "small",
+            "num_requests": 4,
+            "time_limit": 15.0,
+            "backend": "highs",
+            "load_fraction": 0.5,
+        }
+        RecordStore(path, dict(sweep, time_limit=5.0)).add(
+            RunRecord("small-s0+flex0", 0, 0.0, "csigma", "access_control")
+        )
+        code = main(["evaluate", "--quick", "--seeds", "0", "--store", path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error:" in err and "time_limit" in err
+        assert "Traceback" not in err
+
     def test_evaluate_budget_and_store_flags(self, capsys, tmp_path):
         code = main(
             [
