@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("instance")
 
     evaluate = sub.add_parser("evaluate", help="run the Figures 3-9 harness")
-    evaluate.add_argument("--quick", action="store_true")
-    evaluate.add_argument("--paper", action="store_true")
+    profile = evaluate.add_mutually_exclusive_group()
+    profile.add_argument("--quick", action="store_true")
+    profile.add_argument("--paper", action="store_true")
     evaluate.add_argument("--seeds", type=int, nargs="+", default=None)
     evaluate.add_argument("--time-limit", type=_time_limit, default=None,
                           help="wall-clock limit [s] for each cell's solve")

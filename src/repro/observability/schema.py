@@ -41,6 +41,15 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
         },
         "optional": {},
     },
+    "link_check": {
+        "required": {
+            "round": "int",
+            "embedded": "int",
+            "feasible": "bool",
+            "added": "int",
+        },
+        "optional": {},
+    },
     "solve_start": {
         "required": {"solver": "str", "num_vars": "int", "num_constraints": "int"},
         "optional": {"num_integral": "int"},

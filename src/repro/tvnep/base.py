@@ -24,20 +24,24 @@ the Sigma-/cSigma-Models) by overriding :meth:`_build_states`.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.exceptions import ModelingError, ValidationError
+from repro.exceptions import ModelingError, SolverError, ValidationError
 from repro.mip.constraint import Sense
 from repro.mip.expr import LinExpr, Variable, quicksum
 from repro.mip.model import Model, ObjectiveSense
-from repro.mip.solution import Solution
+from repro.mip.solution import Solution, SolveStatus
 from repro.observability.metrics import get_registry
 from repro.observability.trace import current_trace
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 from repro.temporal.dependency import PointKind, TemporalDependencyGraph
 from repro.temporal.events import EventSpace
+from repro.temporal.interval import Interval
+from repro.tvnep import fixed_schedule
+from repro.tvnep.feasibility import _snap_times
 from repro.tvnep.solution import ScheduledRequest, TemporalSolution
 from repro.vnep.embedding_vars import EmbeddingVariables, NodeMapping
 
@@ -124,6 +128,12 @@ class TemporalModelBase:
     #: whether requests get the static (time-invariant) ``x_E`` flows;
     #: the re-routing variant builds per-state flows instead
     build_static_link_flows: bool = True
+    #: the requests whose ``x_E`` flows and link rows are built (``None``:
+    #: all); only the masters of :meth:`solve` restrict it
+    _link_requests: frozenset[str] | None = None
+    #: ``(variables, rows)`` of :attr:`model` as the constructor left it;
+    #: ``None`` on models grown another way
+    _built_size: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -166,6 +176,7 @@ class TemporalModelBase:
             self._build_temporal()
             # default objective
             self.set_access_control_objective()
+        self._built_size = (self.model.num_vars, self.model.num_constraints)
         self._emit_build_event()
 
     def _build_embeddings(self) -> None:
@@ -182,7 +193,8 @@ class TemporalModelBase:
             fixed_mapping=self._fixed_mappings.get(request.name),
             force_embedded=request.name in self._force_embedded,
             force_rejected=request.name in self._force_rejected,
-            build_link_flows=self.build_static_link_flows,
+            build_link_flows=self.build_static_link_flows
+            and (self._link_requests is None or request.name in self._link_requests),
         )
 
     def _build_temporal(self) -> None:
@@ -561,21 +573,188 @@ class TemporalModelBase:
     # solving and extraction
     # ==================================================================
     def solve(self, backend: str = "highs", **kwargs) -> TemporalSolution:
-        """Solve and extract a :class:`TemporalSolution`.
+        """Solve to a :class:`TemporalSolution`, adding link rows on demand.
 
-        Solver statistics (runtime, gap, node count) are carried on the
-        returned solution for the evaluation harness.
+        When :attr:`model` is as the constructor built it (judged by its
+        size: bounds edited afterwards do not reach the master), with
+        static link flows and an objective that prices no ``x_E`` column
+        (access control, max earliness), the solve is an exact link
+        decomposition:
+
+        1. solve a *master*, the same formulation with ``x_E`` columns
+           and link rows only for a request set ``L`` (at first empty) —
+           a relaxation of :attr:`model`;
+        2. snap its times as :func:`~repro.tvnep.feasibility.verify_solution`
+           does and route the embedded placements by the fixed-schedule
+           LP (:func:`~repro.tvnep.fixed_schedule.solve_fixed_schedule`,
+           Sec. V);
+        3. if they route, that schedule with the LP's flows is feasible,
+           hence optimal when the master's is: return it;
+        4. else add to ``L`` the members of every critical group that
+           cannot be routed alone (all embedded requests when none
+           fails alone) and repeat.  With every embedded request in
+           ``L`` and the check still failing, raise
+           :class:`~repro.exceptions.SolverError`.
+
+        ``time_limit`` bounds the whole loop: each round gets what is
+        left of it.  A master stopped at a limit is reported (with its
+        bound, which is valid for :attr:`model`) only if its schedule
+        routes; otherwise there is no solution.  ``runtime`` (master and
+        link-LP solver time) and ``node_count`` sum over the rounds,
+        which are counted as ``link_check.rounds`` and traced as
+        ``link_check`` events.
+
+        Any other model (links priced or rows added by an objective, or
+        a model without static flows) is solved as built, as
+        ``extract(solve_raw(...))``.
         """
-        from repro.mip import solve
-
-        solution = solve(self.model, backend=backend, **kwargs)
-        return self.extract(solution)
+        if not self._link_decomposable():
+            return self.extract(self.solve_raw(backend=backend, **kwargs))
+        return self._solve_link_decomposition(backend, kwargs)
 
     def solve_raw(self, backend: str = "highs", **kwargs) -> Solution:
         """Solve and return the raw MIP solution (no extraction)."""
         from repro.mip import solve
 
         return solve(self.model, backend=backend, **kwargs)
+
+    def _link_decomposable(self) -> bool:
+        """Whether :meth:`solve` may add the link structure on demand."""
+        if not self.build_static_link_flows or self._built_size != (
+            self.model.num_vars,
+            self.model.num_constraints,
+        ):
+            return False
+        priced = {var.index for var in self.model.objective.terms}
+        return not any(
+            var.index in priced
+            for emb in self.embeddings.values()
+            for var in emb.x_link.values()
+        )
+
+    def _link_master(self, linked: frozenset[str]) -> "TemporalModelBase":
+        """This formulation with link structure only for ``linked``,
+        carrying :attr:`model`'s objective (mapped by variable name)."""
+        cls = type(self)
+        master = cls.__new__(cls)
+        master._link_requests = linked
+        cls.__init__(
+            master,
+            self.substrate,
+            self.requests,
+            fixed_mappings=self._fixed_mappings,
+            force_embedded=tuple(self._force_embedded),
+            force_rejected=tuple(self._force_rejected),
+            options=self.options,
+        )
+        by_name = {var.name: var for var in master.model.variables}
+        objective = self.model.objective
+        master.model.set_objective(
+            LinExpr(
+                {by_name[var.name]: coef for var, coef in objective.terms.items()},
+                objective.constant,
+            ),
+            self.model.objective_sense,
+        )
+        return master
+
+    def _solve_link_decomposition(self, backend, kwargs: dict) -> TemporalSolution:
+        """The loop of :meth:`solve`."""
+        from repro.mip import check_time_limit, solve
+
+        time_limit = check_time_limit(kwargs.pop("time_limit", None))
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
+        registry = get_registry()
+        trace = current_trace()
+        linked: frozenset[str] = frozenset()
+        runtime, nodes, round_index = 0.0, 0, 0
+        while True:
+            round_index += 1
+            master = self._link_master(linked)
+            if deadline is not None:
+                kwargs["time_limit"] = max(0.0, deadline - time.perf_counter())
+            raw = solve(master.model, backend=backend, **kwargs)
+            runtime += raw.runtime
+            nodes += raw.node_count
+            candidate = check = None
+            placements: list[fixed_schedule.FixedPlacement] = []
+            if raw.has_solution:
+                candidate = master.extract(raw)
+                snapped = _snap_times(candidate, 1e-6)
+                placements = [
+                    fixed_schedule.FixedPlacement(
+                        entry.request,
+                        entry.node_mapping,
+                        Interval(snapped[entry.start], snapped[entry.end]),
+                    )
+                    for entry in candidate.scheduled.values()
+                    if entry.embedded
+                ]
+                check = fixed_schedule.solve_fixed_schedule(self.substrate, placements)
+                runtime += check.runtime
+            routed = check is not None and check.feasible
+            added: set[str] = set()
+            if raw.is_optimal and not routed:
+                unroutable = fixed_schedule.unroutable_groups(self.substrate, placements)
+                added = {p.request.name for group in unroutable for p in group} - linked
+                if not added:
+                    added = {p.request.name for p in placements} - linked
+            registry.inc("link_check.rounds")
+            registry.inc("link_check.requests_added", len(added))
+            if trace is not None:
+                trace.emit(
+                    "link_check",
+                    round=round_index,
+                    embedded=len(placements),
+                    feasible=routed,
+                    added=len(added),
+                )
+            if routed:
+                return self._routed_solution(raw, candidate, check, runtime, nodes)
+            if not raw.is_optimal:  # no incumbent, or one stopped at a limit
+                status = SolveStatus.NO_SOLUTION if raw.has_solution else raw.status
+                return self.extract(
+                    Solution(
+                        status,
+                        best_bound=raw.best_bound,
+                        runtime=runtime,
+                        node_count=nodes,
+                        solver=raw.solver,
+                    )
+                )
+            if not added:
+                raise SolverError(
+                    f"{self.formulation_name}: the master's schedule fails the "
+                    "link check with every embedded request's link rows in "
+                    f"place ({check.reason})"
+                )
+            linked |= added
+
+    def _routed_solution(
+        self,
+        raw: Solution,
+        candidate: TemporalSolution,
+        check,
+        runtime: float,
+        nodes: int,
+    ) -> TemporalSolution:
+        """The master's schedule with the link LP's flows."""
+        scheduled = {
+            name: replace(entry, link_flows=check.link_flows.get(name, {}))
+            if entry.embedded
+            else entry
+            for name, entry in candidate.scheduled.items()
+        }
+        return TemporalSolution(
+            self.substrate,
+            scheduled,
+            objective=raw.objective,
+            model_name=self.formulation_name,
+            runtime=runtime,
+            gap=raw.gap,
+            node_count=nodes,
+            status=raw.status.value,
+        )
 
     def extract(self, solution: Solution) -> TemporalSolution:
         """Convert a raw MIP solution into a :class:`TemporalSolution`."""

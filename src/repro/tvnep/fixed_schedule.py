@@ -51,6 +51,7 @@ __all__ = [
     "FixedScheduleResult",
     "PathFirstAdmission",
     "solve_fixed_schedule",
+    "unroutable_groups",
 ]
 
 
@@ -126,6 +127,30 @@ def solve_fixed_schedule(
         return FixedScheduleResult(feasible=False, link_flows={}, reason=reason)
     capacity = np.array([substrate.link_capacity(ls) for ls in substrate.links])
     return _link_lp(substrate, active_placements, groups, capacity)
+
+
+def unroutable_groups(
+    substrate: SubstrateNetwork,
+    placements: list[FixedPlacement],
+) -> list[list[FixedPlacement]]:
+    """The critical groups whose members cannot coexist on their own.
+
+    Each group is checked alone, by node arithmetic and then by the link
+    LP of its one critical interval, so a group listed here fails
+    whatever the other placements do.
+    """
+    _check_mappings(placements)
+    active_placements = [p for p in placements if not p.interval.is_degenerate]
+    capacity = np.array([substrate.link_capacity(ls) for ls in substrate.links])
+    failing = []
+    for group in _critical_groups(active_placements):
+        members = [active_placements[i] for i in group]
+        whole = [list(range(len(members)))]
+        if _node_overload(substrate, members, whole) or not _link_lp(
+            substrate, members, whole, capacity
+        ).feasible:
+            failing.append(members)
+    return failing
 
 
 def _check_mappings(placements: list[FixedPlacement]) -> None:

@@ -131,13 +131,19 @@ def hybrid_heavy_hitters(
     )
 
     # -- phase 1: exact on the heavy-hitters ------------------------------
+    # the full model, solved as built: its optimum's start times seed
+    # phase 2, and the link decomposition of ``solve`` may return another
+    # optimum with other start times
     tick = time.perf_counter()
-    exact_solution = CSigmaModel(
+    exact_model = CSigmaModel(
         substrate,
         heavy,
         fixed_mappings={r.name: fixed_mappings[r.name] for r in heavy},
         options=options,
-    ).solve(backend=backend, time_limit=exact_time_limit)
+    )
+    exact_solution = exact_model.extract(
+        exact_model.solve_raw(backend=backend, time_limit=exact_time_limit)
+    )
     exact_runtime = time.perf_counter() - tick
 
     # -- phase 2: greedy insertion of the small requests -------------------

@@ -160,7 +160,13 @@ class TestEveryCellRecorded:
         evaluation.run_access_control()
         evaluation.run_greedy()
 
-        assert [r.status for r in evaluation.access_records] == ["no_solution"] * 2
+        # HiGHS presolve may solve the small node-only master within 0 s
+        # (it does here), so an exact cell is solved or has no solution
+        assert len(evaluation.access_records) == 2
+        assert {r.status for r in evaluation.access_records} <= {
+            "solved",
+            "no_solution",
+        }
         assert [r.num_embedded for r in evaluation.greedy_records] == [0, 0]
         assert len(load_records(store_path)) == 4
 

@@ -56,7 +56,8 @@ class TestRecordTelemetry:
         for record in records:
             block = record.telemetry
             assert block["solves"] >= 1
-            assert block["nodes"] >= 1
+            # a node-only master that HiGHS presolve solves has 0 nodes
+            assert isinstance(block["nodes"], int) and block["nodes"] >= 0
             assert isinstance(block["warm_start_used"], bool)
             assert isinstance(block["wall_ms"], dict)
         # the merged registry aggregates at least what the records saw

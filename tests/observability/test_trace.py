@@ -285,8 +285,9 @@ class TestBnbPresolveTelemetry:
     def test_cli_presolve_event_and_counters_pinned(self, tmp_path, capsys):
         """The CI ``bnb trace`` step, with the smoke instance's numbers.
 
-        The 3-request instance presolves in 2 rounds with 16 tightenings
-        over 174 rows: all 174 run in round 1, 19 in round 2.
+        ``solve`` hands bnb the node-only master of the 3-request
+        instance (48 rows, not the full model's 174), which presolves in
+        2 rounds with 13 tightenings, visiting 67 rows and skipping 29.
         """
         from repro.cli import main
 
@@ -305,10 +306,10 @@ class TestBnbPresolveTelemetry:
             "event": "presolve",
             "feasible": True,
             "rounds": 2,
-            "rows_visited": 193,
+            "rows_visited": 67,
             "seq": presolve["seq"],
             "tightened_bounds": 13,
         }
         summary = capsys.readouterr().out.splitlines()
-        assert "presolve.rows_visited 193" in summary
-        assert "presolve.rows_skipped 155" in summary
+        assert "presolve.rows_visited 67" in summary
+        assert "presolve.rows_skipped 29" in summary

@@ -231,6 +231,16 @@ class TestErrorHandling:
         assert value in last
         assert "Traceback" not in err
 
+    def test_quick_and_paper_profiles_are_exclusive(self, capsys):
+        """``--quick --paper`` is refused, not run as the paper sweep."""
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--quick", "--paper", "--seeds", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert "error: argument --paper: not allowed with argument --quick" in last
+        assert "Traceback" not in err
+
     def test_store_of_another_sweep_is_one_line_diagnostic(self, capsys, tmp_path):
         from repro.evaluation.persistence import RecordStore
         from repro.evaluation.runner import RunRecord

@@ -14,6 +14,7 @@ from repro.network import Request, SubstrateNetwork, TemporalSpec, line_substrat
 from repro.network.topologies import chain, star
 from repro.temporal import Interval
 from repro.tvnep import FixedPlacement, solve_fixed_schedule
+from repro.tvnep.fixed_schedule import unroutable_groups
 
 
 def star_request(name, leaves=1, node_demand=1.0, link_demand=1.0):
@@ -226,6 +227,23 @@ class TestLinkFeasibility:
         result = solve_fixed_schedule(sub, [placement])
         assert not result.feasible
         assert "'island', which has no substrate link" in result.reason
+
+
+class TestUnroutableGroups:
+    """The critical groups that fail on their own (``solve`` adds the
+    link blocks of their members)."""
+
+    @pytest.mark.parametrize("make", [link_contention, node_overload])
+    def test_the_overlapping_pair_fails_alone(self, make):
+        sub, placements = make()
+        groups = unroutable_groups(sub, placements)
+        assert [[p.request.name for p in group] for group in groups] == [["A", "B"]]
+
+    @pytest.mark.parametrize(
+        "make", [contention_resolved_by_time, flows_returned, empty_placements]
+    )
+    def test_a_feasible_schedule_has_none(self, make):
+        assert unroutable_groups(*make()) == []
 
 
 class TestEdgeCases:

@@ -112,7 +112,10 @@ class TestErrorsSurface:
                 for r in reqs
             },
         )
-        with mock.patch.object(CSigmaModel, "solve", return_value=overlapping):
+        # phase 1 solves the full model as built: solve_raw, then extract
+        with mock.patch.object(CSigmaModel, "solve_raw"), mock.patch.object(
+            CSigmaModel, "extract", return_value=overlapping
+        ):
             with pytest.raises(SolverError, match="does not fit"):
                 hybrid_heavy_hitters(sub, reqs, unit_mappings(reqs), heavy_fraction=1.0)
 
