@@ -2,14 +2,13 @@
 
 Every benchmark runs at laptop scale by default (seconds, not the
 paper's hours).  The scale knobs live in :class:`BenchConfig`; set the
-environment variable ``REPRO_BENCH_SCALE=paper`` to run the original
-Sec. VI-A configuration (24 scenarios x 11 flexibilities x 1 h limits —
-plan for a long night).
+environment variable ``REPRO_BENCH_SCALE=paper`` to run on the original
+Sec. VI-A scenarios with 1 h limits (plan for a long night).
 
-Figure-level regeneration (the full sweep feeding EXPERIMENTS.md) lives
-in ``benchmarks/run_figures.py``; the pytest-benchmark entries here
-time the individual solver components that make up each figure and
-attach the paper-relevant quality metrics as ``extra_info``.
+The paper's Figures 3-9 (the sweep feeding EXPERIMENTS.md) come from
+``python -m repro evaluate``; the pytest-benchmark entries here time
+the ablations, extensions and scaling study and attach their quality
+metrics as ``extra_info``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.workloads import paper_scenario, small_scenario
 class BenchConfig:
     scale: str
     seeds: tuple[int, ...]
-    flexibilities: tuple[float, ...]
     time_limit: float
     num_requests: int
 
@@ -36,14 +34,12 @@ class BenchConfig:
             return cls(
                 scale="paper",
                 seeds=tuple(range(24)),
-                flexibilities=tuple(i * 0.5 for i in range(11)),
                 time_limit=3600.0,
                 num_requests=20,
             )
         return cls(
             scale="small",
             seeds=(0,),
-            flexibilities=(0.0, 1.0, 2.0),
             time_limit=30.0,
             num_requests=5,
         )
@@ -62,8 +58,3 @@ def bench_config() -> BenchConfig:
 @pytest.fixture(scope="session")
 def base_scenario(bench_config):
     return bench_config.scenario(bench_config.seeds[0])
-
-
-@pytest.fixture(scope="session", params=[0.0, 1.0, 2.0], ids=lambda f: f"flex{f:g}")
-def scenario_at_flexibility(request, base_scenario):
-    return base_scenario.with_flexibility(request.param)

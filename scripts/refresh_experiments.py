@@ -1,14 +1,19 @@
 #!/usr/bin/env python
 """Refresh the measured tables in EXPERIMENTS.md from recorded runs.
 
-Reads the three run artifacts (laptop figures, stress figures, paper-
-scale sweep) and splices their tables into EXPERIMENTS.md, replacing
-the corresponding fenced code blocks.  Keeps the document's prose
-untouched, so re-running the evaluation and refreshing the numbers is
-a two-command affair:
+Reads the four run artifacts (laptop figures, stress figures, the
+stress scenarios at a 0.5 s budget, paper-scale sweep) and splices
+their tables into EXPERIMENTS.md, replacing the corresponding fenced
+code blocks.  Keeps the document's prose untouched, so re-running the
+evaluation and refreshing the numbers is a two-command affair:
 
-    python benchmarks/run_figures.py --output figures_output.txt
+    python -m repro evaluate --output figures_output.txt
     python scripts/refresh_experiments.py
+
+The stress artifact comes from ``python -m repro evaluate --seeds 0 1 2
+--flexibilities 0 1 2 3 --num-requests 8 --time-limit 3 --output
+figures_stress.txt``; the 0.5 s one from the same command with
+``--time-limit 0.5 --output figures_gap_stress.txt``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,23 @@ import re
 import sys
 
 EXPERIMENTS = "EXPERIMENTS.md"
+
+#: (EXPERIMENTS.md anchor, table header) of each table taken from the
+#: laptop run, ``figures_output.txt``
+LAPTOP_TABLES = (
+    ("## Figure 3", "flex  delta"),
+    ("## Figure 5", "flex  max_earliness"),
+    ("## Figure 7", "flex  greedy vs csigma"),
+    ("## Figure 9", "flex  csigma vs flex 0"),
+)
+
+#: (EXPERIMENTS.md anchor, run artifact, figure title, table header) of
+#: each table found as the first header of its shape after the figure's
+#: title (Figs. 3 and 5 have the same headers)
+TITLED_TABLES = (
+    ("## Figure 4", "figures_stress.txt", "Figure 4", "flex  delta"),
+    ("## Figure 6", "figures_gap_stress.txt", "Figure 6", "flex  max_earliness"),
+)
 
 
 def extract_figure(text: str, title_prefix: str) -> str | None:
@@ -31,6 +53,12 @@ def extract_figure(text: str, title_prefix: str) -> str | None:
                 body.append(row.rstrip())
             return "\n".join(body)
     return None
+
+
+def extract_titled(text: str, title: str, header: str) -> str | None:
+    """Grab the first ``header`` table after the line starting ``title``."""
+    marker = text.find(title)
+    return extract_figure(text[marker:], header) if marker >= 0 else None
 
 
 def replace_block(doc: str, anchor: str, new_body: str) -> str:
@@ -55,43 +83,26 @@ def main() -> int:
     except OSError:
         laptop = None
     try:
-        stress = open("figures_stress.txt", encoding="utf-8").read()
-    except OSError:
-        stress = None
-    try:
         sweep = open("paper_scale_sweep.txt", encoding="utf-8").read()
     except OSError:
         sweep = None
 
     if laptop:
-        for anchor, title in [
-            ("## Figure 3", "flex  delta"),
-            ("## Figure 5", "flex  max_earliness"),
-        ]:
+        for anchor, title in LAPTOP_TABLES:
             body = extract_figure(laptop, title)
             if body:
                 doc = replace_block(doc, anchor, body)
                 print(f"refreshed block after {anchor}")
-        body = extract_figure(laptop, "flex  greedy vs csigma")
-        if body:
-            doc = replace_block(doc, "## Figure 7", body)
-            print("refreshed block after ## Figure 7")
-        body = extract_figure(laptop, "flex  csigma vs flex 0")
-        if body:
-            doc = replace_block(doc, "## Figure 9", body)
-            print("refreshed block after ## Figure 9")
 
-    if stress:
-        # figure 4 table appears twice in the stress artifact's layout;
-        # match by its distinctive header
-        body = extract_figure(stress, "flex  delta (median [q1, q3])")
-        # the SECOND occurrence (after 'Figure 4') is the gap table
-        marker = stress.find("Figure 4")
-        if marker >= 0:
-            body = extract_figure(stress[marker:], "flex  delta")
+    for anchor, artifact, title, header in TITLED_TABLES:
+        try:
+            run = open(artifact, encoding="utf-8").read()
+        except OSError:
+            continue
+        body = extract_titled(run, title, header)
         if body:
-            doc = replace_block(doc, "## Figure 4", body)
-            print("refreshed block after ## Figure 4")
+            doc = replace_block(doc, anchor, body)
+            print(f"refreshed block after {anchor}")
 
     if sweep:
         body = extract_figure(sweep, "flex    cS revenue")

@@ -12,8 +12,7 @@ Commands
 ``check``
     Lint an instance file for legal-but-hopeless configurations.
 ``evaluate``
-    Run the Figures 3-9 harness (same engine as
-    ``benchmarks/run_figures.py``).
+    Run the Figures 3-9 sweep and print its figures as text tables.
 
 Example
 -------
@@ -22,6 +21,7 @@ Example
     python -m repro generate --seed 0 --flexibility 1.0 -o day.json
     python -m repro solve day.json --model csigma -o day-solution.json
     python -m repro verify day.json day-solution.json
+    python -m repro evaluate --output figures_output.txt   # laptop scale
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import logging
 import math
 import sys
+import time
 
 from repro.exceptions import SolverError, ValidationError
 from repro.io import Instance, load_instance, load_solution, save_instance, save_solution
@@ -37,14 +38,41 @@ from repro.io import Instance, load_instance, load_solution, save_instance, save
 __all__ = ["main", "build_parser"]
 
 
+def _checked(check, parse, text: str):
+    """``check(parse(text))``, its failure turned into an argparse error
+    (usage plus one ``error:`` line, exit 2)."""
+    try:
+        return check(parse(text))
+    except (ValueError, ValidationError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _time_limit(text: str) -> float:
     """argparse type of ``--time-limit``: non-negative finite seconds."""
     from repro.mip import check_time_limit
 
-    try:
-        return check_time_limit(float(text))
-    except (ValueError, ValidationError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _checked(check_time_limit, float, text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of a scenario seed: a non-negative integer."""
+    from repro.evaluation.experiments import check_seed
+
+    return _checked(check_seed, int, text)
+
+
+def _flexibility(text: str) -> float:
+    """argparse type of a sweep flexibility: non-negative finite hours."""
+    from repro.evaluation.experiments import check_flexibility
+
+    return _checked(check_flexibility, float, text)
+
+
+def _num_requests(text: str) -> int:
+    """argparse type of a sweep's request count: at least 1."""
+    from repro.evaluation.experiments import check_num_requests
+
+    return _checked(check_num_requests, int, text)
 
 
 def _workers(text: str) -> int:
@@ -74,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a synthetic instance")
     gen.add_argument("--scale", choices=["small", "paper"], default="small")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--num-requests", type=int, default=None)
     gen.add_argument("--flexibility", type=float, default=0.0)
     gen.add_argument("-o", "--output", required=True)
@@ -132,7 +160,20 @@ def build_parser() -> argparse.ArgumentParser:
     profile = evaluate.add_mutually_exclusive_group()
     profile.add_argument("--quick", action="store_true")
     profile.add_argument("--paper", action="store_true")
-    evaluate.add_argument("--seeds", type=int, nargs="+", default=None)
+    evaluate.add_argument("--seeds", type=_seed, nargs="+", default=None)
+    evaluate.add_argument(
+        "--flexibilities",
+        type=_flexibility,
+        nargs="+",
+        default=None,
+        help="temporal flexibility levels [h] of the sweep",
+    )
+    evaluate.add_argument(
+        "--num-requests",
+        type=_num_requests,
+        default=None,
+        help="requests per scenario (small scale; the paper scale has 20)",
+    )
     evaluate.add_argument("--time-limit", type=_time_limit, default=None,
                           help="wall-clock limit [s] for each cell's solve")
     evaluate.add_argument(
@@ -340,6 +381,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         config = EvaluationConfig()
     if args.seeds is not None:
         config = replace(config, seeds=tuple(args.seeds))
+    if args.flexibilities is not None:
+        config = replace(config, flexibilities=tuple(args.flexibilities))
+    if args.num_requests is not None:
+        config = replace(config, num_requests=args.num_requests)
     if args.time_limit is not None:
         config = replace(config, time_limit=args.time_limit)
     if args.workers != 1:
@@ -348,11 +393,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.observability import MetricsRegistry, use_registry
 
     registry = MetricsRegistry()
+    started = time.perf_counter()
     with use_registry(registry):
         evaluation = Evaluation(
             config, store_path=args.store, trace_path=args.trace
         )
         report = evaluation.render_all(charts=args.charts)
+    # the footer closes the figures in --output too; the tables end at it
+    report += f"\n(total evaluation time: {time.perf_counter() - started:.1f}s)"
     print(report)
     if args.trace:
         print(f"wrote trace events to {args.trace}")

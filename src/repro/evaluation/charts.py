@@ -6,7 +6,7 @@ the same information as unicode bar charts: one row per x-value, one
 bar per series, linear or log10 scale, with the numeric medians
 printed alongside so nothing is lost to resolution.
 
-Used by ``benchmarks/run_figures.py --charts`` and directly importable
+Used by ``python -m repro evaluate --charts`` and directly importable
 for notebooks/terminals.
 """
 

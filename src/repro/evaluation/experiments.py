@@ -20,7 +20,9 @@ tests), the default laptop scale, and :meth:`EvaluationConfig.paper`
 
 from __future__ import annotations
 
+import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -33,6 +35,8 @@ from repro.mip import check_time_limit
 from repro.workloads.scenario import Scenario, paper_scenario, small_scenario
 
 __all__ = ["EvaluationConfig", "Evaluation", "FIXED_OBJECTIVES"]
+
+logger = logging.getLogger("repro.runtime")
 
 #: the config fields a record depends on beyond its cell key; a record
 #: store keeps them in its header so a resume never mixes sweeps
@@ -50,6 +54,35 @@ FIXED_OBJECTIVES: tuple[str, ...] = (
     "balance_node_load",
     "disable_links",
 )
+
+
+def check_seed(seed):
+    """``seed`` unchanged; a negative or non-integer scenario seed raises
+    :class:`~repro.exceptions.ValidationError`."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def check_flexibility(flexibility):
+    """``flexibility`` unchanged; a negative or non-finite temporal
+    flexibility [h] raises :class:`~repro.exceptions.ValidationError`."""
+    if not 0.0 <= flexibility < math.inf:  # NaN fails both comparisons
+        raise ValidationError(
+            "flexibility must be a non-negative finite number of hours, "
+            f"got {flexibility!r}"
+        )
+    return flexibility
+
+
+def check_num_requests(num_requests):
+    """``num_requests`` unchanged; fewer than one request raises
+    :class:`~repro.exceptions.ValidationError`."""
+    if not isinstance(num_requests, numbers.Integral) or num_requests < 1:
+        raise ValidationError(
+            f"num_requests must be an integer of at least 1, got {num_requests!r}"
+        )
+    return num_requests
 
 
 @dataclass(frozen=True)
@@ -82,6 +115,11 @@ class EvaluationConfig:
             raise ValidationError(f"unknown scale {self.scale!r}")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
+        for seed in self.seeds:
+            check_seed(seed)
+        for flexibility in self.flexibilities:
+            check_flexibility(flexibility)
+        check_num_requests(self.num_requests)
 
     def make_scenario(self, seed: int) -> Scenario:
         if self.scale == "paper":
@@ -157,14 +195,15 @@ class Evaluation:
     # ------------------------------------------------------------------
     # sweeps
     # ------------------------------------------------------------------
-    def _run_phase(self, cells, verbose: bool) -> list[RunRecord]:
+    def _run_phase(self, cells) -> list[RunRecord]:
         """Run one phase's cells and return their records in serial order
         (the cells come in that order: ``cells[i].index == i``).
 
         Cells already in the store are loaded; the rest go to
         :func:`repro.runtime.parallel.execute_cells`, and each fresh
-        record is appended to the store the moment it arrives (in
-        completion order when ``workers > 1``).  Then, in serial order,
+        record is appended to the store and logged (one INFO line on
+        ``repro.runtime``) the moment it arrives, in completion order
+        when ``workers > 1``.  Then, in serial order,
         the fresh cells' metrics are folded into the active registry and
         their trace events appended to the trace file — so records,
         metrics and trace are the same whatever ``workers`` is.
@@ -190,13 +229,15 @@ class Evaluation:
                 if store is not None:
                     store.add(result.record)
                 fresh[result.index] = result
-                if verbose:
-                    cell, record = cells[result.index], result.record
-                    print(
-                        f"[{cell.phase}] {cell.label}: "
-                        f"obj={record.objective:.4g} gap={record.gap:.3g} "
-                        f"t={record.runtime:.2f}s"
-                    )
+                cell, record = cells[result.index], result.record
+                logger.info(
+                    "[%s] %s: obj=%.4g gap=%.3g t=%.2fs",
+                    cell.phase,
+                    cell.label,
+                    record.objective,
+                    record.gap,
+                    record.runtime,
+                )
         registry = get_registry()
         records = []
         for cell in cells:
@@ -213,7 +254,7 @@ class Evaluation:
             self._trace_started = True
         return records
 
-    def run_access_control(self, verbose: bool = False) -> list[RunRecord]:
+    def run_access_control(self) -> list[RunRecord]:
         """Figures 3/4/8/9 sweep: every model on every scenario cell."""
         if self._ran_access:
             return self.access_records
@@ -232,7 +273,7 @@ class Evaluation:
                 product(cfg.seeds, cfg.flexibilities, cfg.models)
             )
         ]
-        for record in self._run_phase(cells, verbose):
+        for record in self._run_phase(cells):
             self.access_records.append(record)
             names = record.model_stats.get("embedded_names")
             if record.algorithm == "csigma" and names is not None:
@@ -242,7 +283,7 @@ class Evaluation:
         self._ran_access = True
         return self.access_records
 
-    def run_greedy(self, verbose: bool = False) -> list[RunRecord]:
+    def run_greedy(self) -> list[RunRecord]:
         """Figure 7 sweep: greedy on every scenario cell."""
         if self._ran_greedy:
             return self.greedy_records
@@ -261,11 +302,11 @@ class Evaluation:
                 product(cfg.seeds, cfg.flexibilities)
             )
         ]
-        self.greedy_records.extend(self._run_phase(cells, verbose))
+        self.greedy_records.extend(self._run_phase(cells))
         self._ran_greedy = True
         return self.greedy_records
 
-    def run_fixed_objectives(self, verbose: bool = False) -> list[RunRecord]:
+    def run_fixed_objectives(self) -> list[RunRecord]:
         """Figures 5/6 sweep: cSigma on the accepted set, per objective.
 
         The paper evaluates the fixed-set objectives on "a given set of
@@ -296,14 +337,14 @@ class Evaluation:
             )
             for index, (seed, flexibility, accepted, objective) in enumerate(grid)
         ]
-        self.objective_records.extend(self._run_phase(cells, verbose))
+        self.objective_records.extend(self._run_phase(cells))
         self._ran_objectives = True
         return self.objective_records
 
-    def run_all(self, verbose: bool = False) -> None:
-        self.run_access_control(verbose)
-        self.run_greedy(verbose)
-        self.run_fixed_objectives(verbose)
+    def run_all(self) -> None:
+        self.run_access_control()
+        self.run_greedy()
+        self.run_fixed_objectives()
 
     # ------------------------------------------------------------------
     # figures

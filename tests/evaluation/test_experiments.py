@@ -48,6 +48,52 @@ class TestSweeps:
         assert len(evaluation.access_records) == before
 
 
+@pytest.fixture(scope="module")
+def quick_evaluation():
+    ev = Evaluation(EvaluationConfig.quick())
+    ev.run_all()
+    return ev
+
+
+def _proven_csigma(evaluation) -> dict:
+    """(seed, flexibility) -> objective of each proven access-control cΣ cell."""
+    return {
+        (r.seed, r.flexibility): r.objective
+        for r in evaluation.access_records
+        if r.algorithm == "csigma" and r.proved_optimal
+    }
+
+
+class TestInvariants:
+    """Properties every sweep must keep, checked on the quick profile."""
+
+    def test_every_greedy_record_verified(self, quick_evaluation):
+        records = quick_evaluation.greedy_records
+        assert records and all(r.verified_feasible for r in records)
+
+    def test_greedy_never_beats_a_proven_optimum(self, quick_evaluation):
+        proven = _proven_csigma(quick_evaluation)
+        compared = 0
+        for record in quick_evaluation.greedy_records:
+            optimum = proven.get((record.seed, record.flexibility))
+            if optimum is None:
+                continue
+            assert record.objective <= optimum + 1e-6 * max(1.0, abs(optimum))
+            compared += 1
+        assert compared > 0
+
+    def test_proven_optimum_never_falls_as_flexibility_grows(self, quick_evaluation):
+        """More temporal slack only widens the feasible set (Fig. 9)."""
+        proven = _proven_csigma(quick_evaluation)
+        compared = 0
+        for (seed, flex), objective in proven.items():
+            for (other_seed, other_flex), smaller in proven.items():
+                if other_seed == seed and other_flex < flex:
+                    assert objective >= smaller - 1e-6 * max(1.0, abs(smaller))
+                    compared += 1
+        assert compared > 0
+
+
 class TestFigures:
     def test_every_figure_renders(self, evaluation):
         for figure in (
@@ -124,6 +170,32 @@ class TestConfig:
             EvaluationConfig(time_limit=bad)
         with pytest.raises(ValidationError, match="time limit"):
             replace(EvaluationConfig.quick(), time_limit=bad)
+
+
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [
+            ("seeds", (0, -1), "seed"),
+            ("seeds", (1.5,), "seed"),
+            ("seeds", ("0",), "seed"),
+            ("flexibilities", (-1.0,), "flexibility"),
+            ("flexibilities", (0.0, float("nan")), "flexibility"),
+            ("flexibilities", (float("inf"),), "flexibility"),
+            ("num_requests", 0, "num_requests"),
+            ("num_requests", -2, "num_requests"),
+            ("num_requests", 2.5, "num_requests"),
+        ],
+    )
+    def test_invalid_sweep_input_rejected(self, field, bad, match):
+        """Rejected where it enters, not by the first cell that uses it."""
+        from dataclasses import replace
+
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match=match):
+            EvaluationConfig(**{field: bad})
+        with pytest.raises(ValidationError, match=match):
+            replace(EvaluationConfig.quick(), **{field: bad})
 
 
 class TestResume:

@@ -183,6 +183,67 @@ class TestEvaluate:
         assert code == 0
         text = out.read_text()
         assert "Figure 3" in text and "Figure 9" in text
+        assert text.splitlines()[-1].startswith("(total evaluation time: ")
+
+    def test_flexibilities_and_num_requests_flags(self, tmp_path):
+        from repro.evaluation.persistence import load_records
+
+        store = tmp_path / "records.jsonl"
+        argv = ["evaluate", "--quick", "--seeds", "0", "--store", str(store)]
+        code = main(argv + ["--flexibilities", "0", "0.5", "--num-requests", "3"])
+        assert code == 0
+        records = load_records(str(store))
+        assert {r.flexibility for r in records} == {0.0, 0.5}
+        assert {r.num_requests for r in records} == {3}
+
+    def test_one_info_line_per_finished_cell(self, caplog):
+        # pytest's capture handler makes ``--log-level``'s basicConfig a
+        # no-op, so the capture level is set here as well
+        import logging
+
+        caplog.set_level(logging.INFO, logger="repro.runtime")
+        argv = ["--log-level", "info", "evaluate", "--seeds", "0"]
+        code = main(argv + ["--flexibilities", "0", "--num-requests", "3"])
+        assert code == 0
+        cells = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.runtime" and record.levelno == logging.INFO
+        ]
+        # 3 formulations, the greedy, and 3 fixed objectives on one
+        # accepted set
+        assert len(cells) == 7
+        assert all("seed=0 flex=0 " in line for line in cells)
+        phases = [line.split("]")[0] for line in cells]
+        assert phases == ["[access"] * 3 + ["[greedy"] + ["[objective"] * 3
+
+    def test_output_feeds_refresh_experiments(self, tmp_path):
+        """Every table ``scripts/refresh_experiments.py`` splices into
+        EXPERIMENTS.md is found in an ``evaluate --output`` file."""
+        import importlib.util
+        from pathlib import Path
+
+        script = Path(__file__).parent.parent / "scripts" / "refresh_experiments.py"
+        spec = importlib.util.spec_from_file_location("refresh_experiments", script)
+        refresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(refresh)
+
+        out = tmp_path / "figures.txt"
+        argv = ["evaluate", "--seeds", "0", "--flexibilities", "0", "1"]
+        assert main(argv + ["--num-requests", "3", "--output", str(out)]) == 0
+        text = out.read_text()
+        for _, title in refresh.LAPTOP_TABLES:
+            body = refresh.extract_figure(text, title)
+            assert body is not None, title
+            assert len(body.splitlines()) == 4  # header, rule, one row per flex
+        figures = text.split("\n\n")
+        for _, _, title, header in refresh.TITLED_TABLES:
+            body = refresh.extract_titled(text, title, header)
+            assert body is not None, title
+            # the titled figure's table, not an earlier one under the
+            # same header (Figs. 3 and 5)
+            (figure,) = [f for f in figures if f.startswith(title)]
+            assert body == refresh.extract_figure(figure, header)
 
 
 class TestErrorHandling:
@@ -229,6 +290,30 @@ class TestErrorHandling:
         last = err.strip().splitlines()[-1]
         assert "error: argument --workers" in last
         assert value in last
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "--quick", "--seeds", "-1"], "--seeds"),
+            (["evaluate", "--quick", "--seeds", "0", "1.5"], "--seeds"),
+            (["evaluate", "--quick", "--flexibilities", "-1"], "--flexibilities"),
+            (["evaluate", "--quick", "--flexibilities", "0", "nan"], "--flexibilities"),
+            (["evaluate", "--quick", "--flexibilities", "inf"], "--flexibilities"),
+            (["evaluate", "--quick", "--num-requests", "0"], "--num-requests"),
+            (["generate", "--seed", "-1", "-o", "unused.json"], "--seed"),
+        ],
+    )
+    def test_invalid_sweep_inputs_rejected(self, capsys, argv, flag):
+        """Refused by argparse before any cell runs or file is written."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.strip().splitlines()[-1]
+        ]
+        assert f"error: argument {flag}:" in err
         assert "Traceback" not in err
 
     def test_quick_and_paper_profiles_are_exclusive(self, capsys):

@@ -15,6 +15,8 @@ this file) can be retired.
 Presolve off is no cure-all either: on a pinned chain in the cut-free
 cSigma-Model (:func:`chain_instance`), HiGHS with presolve *off* proves
 a worse answer optimal, while presolve on and ``bnb`` find the optimum.
+On a two-request Delta-Model (:func:`clash_instance`) it even proves
+the model infeasible, although rejecting every request is feasible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from __future__ import annotations
 import pytest
 
 from repro.network import Request, SubstrateNetwork, TemporalSpec, VirtualNetwork
-from repro.tvnep import CSigmaModel, ModelOptions, SigmaModel, verify_solution
+from repro.tvnep import (
+    CSigmaModel,
+    DeltaModel,
+    ModelOptions,
+    SigmaModel,
+    verify_solution,
+)
 
 TRUE_OPTIMUM = 4.75
 
@@ -119,3 +127,31 @@ def test_chain_optimum_recovered(kwargs):
     assert solution.objective == pytest.approx(CHAIN_OPTIMUM)
     assert solution["F0"].embedded and solution["F1"].embedded
     assert verify_solution(solution).feasible
+
+
+def clash_instance():
+    """Two requests that cannot overlap and cannot both avoid it."""
+    substrate = SubstrateNetwork("one")
+    substrate.add_node("s", 2.0)
+    requests = [
+        unit_request("R0", 0.5, 3.0, 1.5, 1.5),
+        unit_request("R1", 1.0, 2.5, 1.0, 1.5),
+    ]
+    return substrate, requests
+
+
+def test_highs_presolve_off_infeasible_verdict_pinned():
+    """Documents the defect (update if HiGHS fixes it)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    form = DeltaModel(*clash_instance()).model.to_standard_form()
+    res = milp(
+        c=form.c,
+        constraints=[LinearConstraint(form.A, form.row_lb, form.row_ub)],
+        integrality=form.integrality,
+        bounds=Bounds(form.lb, form.ub),
+        options={"presolve": False, "disp": False},
+    )
+    if res.status == 0:
+        pytest.skip("HiGHS presolve-off infeasible verdict appears fixed here")
+    assert res.status == 2  # infeasible
