@@ -7,7 +7,7 @@ It offers:
 * an expression algebra (:mod:`repro.mip.expr`),
 * constraints and models (:mod:`repro.mip.constraint`,
   :mod:`repro.mip.model`),
-* two solver backends — HiGHS via SciPy
+* two solver backends — HiGHS on the bindings SciPy vendors
   (:mod:`repro.mip.highs_backend`) and a pure-Python branch-and-bound
   solver (:mod:`repro.mip.bnb`),
 * an LP-format writer (:mod:`repro.mip.writer`).
@@ -91,7 +91,7 @@ def solve(model, backend="highs", **kwargs):
         The :class:`Model` to solve.
     backend:
         A name from the :mod:`repro.runtime.backends` registry —
-        ``"highs"`` (default, exact branch-and-cut via SciPy) or
+        ``"highs"`` (default, HiGHS's exact branch-and-cut) or
         ``"bnb"`` (pure-Python branch-and-bound) — or any callable
         with the backend signature, e.g. a fault-injecting
         :class:`~repro.runtime.faults.FaultInjector`.  The backend runs

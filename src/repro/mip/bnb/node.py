@@ -41,7 +41,7 @@ class BranchNode:
         *user's* optimization sense); refined once this node's own
         relaxation is solved.
     basis:
-        Opaque LP basis token (engine-specific, see
+        Opaque LP basis token (a HiGHS basis, see
         :mod:`repro.mip.lp_engine`).  Set from this node's own
         relaxation when it has been solved, else inherited from the
         parent, so a child LP hot-starts the dual simplex from the

@@ -12,11 +12,10 @@ This solver exists for two reasons:
 
 The implementation solves LP relaxations through a persistent
 :class:`~repro.mip.lp_engine.LPSession`: the shared constraint matrix is
-loaded into the engine **once** per solve and every node answers via a
-bound-only update (plus, on the HiGHS-backed session, a dual-simplex
-hot-start from the parent node's basis).  Branching and node-selection
-strategies are pluggable (:mod:`repro.mip.bnb.branching`,
-:mod:`repro.mip.bnb.node_selection`).
+loaded into HiGHS **once** per solve and every node answers via a
+bound-only update plus a dual-simplex hot-start from the parent node's
+basis.  Branching and node-selection strategies are pluggable
+(:mod:`repro.mip.bnb.branching`, :mod:`repro.mip.bnb.node_selection`).
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ from repro.mip.bnb.branching import (
 )
 from repro.mip.bnb.node import BranchNode
 from repro.mip.bnb.node_selection import NodeSelection, make_node_selection
-from repro.mip.lp_engine import (
-    LPResult,
-    LPSession,
-    make_session,
-    reduced_cost_fixing,
-)
+from repro.mip.lp_engine import LPResult, LPSession, reduced_cost_fixing
 from repro.mip.model import Model, StandardForm
 from repro.mip.solution import Solution, SolveStatus
 from repro.mip.warm_start import coerce_assignment, validate_assignment
@@ -230,9 +224,9 @@ class BranchAndBoundSolver:
                 )
             root_lb, root_ub = presolved.lb, presolved.ub
 
-        session = make_session(form)
+        session = LPSession(form)
         if trace is not None:
-            trace.emit("lp_session", engine=session.engine)
+            trace.emit("lp_session")
 
         root = BranchNode(lp_bound=-math.inf)
         with metrics.timer("phase.root_lp"):
@@ -309,7 +303,7 @@ class BranchAndBoundSolver:
                 # a session is bound to one form: reload the
                 # strengthened form into a fresh one
                 session.close()
-                session = make_session(form)
+                session = LPSession(form)
                 with metrics.timer("phase.cuts"):
                     root_outcome = session.solve(root_lb, root_ub)
                 root.basis = root_outcome.basis
@@ -592,7 +586,7 @@ class BranchAndBoundSolver:
 
         Fix every integral column to its nearest in-bounds integer and
         re-solve the LP over the continuous columns (hot-started from
-        the root basis when the engine supports it).  Returns
+        the root basis).  Returns
         ``(internal objective, point)`` when the repair succeeds.
         """
         mask = form.integrality.astype(bool)

@@ -1,44 +1,89 @@
-"""HiGHS solver backend via :func:`scipy.optimize.milp` / ``linprog``.
+"""The one HiGHS driver of the package.
 
-This is the default exact backend.  It solves:
+Every HiGHS call runs on the pybind11 bindings scipy (>= 1.15) vendors,
+imported here once as ``_core``:
 
 * full MILPs (:func:`solve`), honouring time limits and gap tolerances so
   the paper's timeout-then-report-gap methodology (Figures 3-6) can be
-  reproduced, and
+  reproduced;
 * LP relaxations (:func:`solve_relaxation`), used for the
   relaxation-strength ablation comparing the Delta-, Sigma- and
-  cSigma-Models and inside the pure-Python branch-and-bound solver.
+  cSigma-Models;
+* the array-native fixed-schedule LP of :mod:`repro.tvnep.fixed_schedule`;
+* the node LPs of the pure-Python branch-and-bound, through the
+  persistent :class:`~repro.mip.lp_engine.LPSession`.
 
-Every ``milp`` call, a compiled model's or the array-native
-fixed-schedule LP of :mod:`repro.tvnep.fixed_schedule`, goes through
-the one array-level entry :func:`solve_arrays`.
+The first three go through the one array-level entry
+:func:`solve_arrays`; all four load their problem with :func:`highs_lp`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
 
 from repro.exceptions import SolverError
 from repro.mip.model import Model, StandardForm
 from repro.mip.solution import Solution, SolveStatus
 from repro.observability import current_trace, get_registry
 
-__all__ = ["solve", "solve_arrays", "solve_relaxation", "HIGHS_NAME"]
+__all__ = [
+    "solve",
+    "solve_arrays",
+    "solve_standard_form",
+    "solve_relaxation",
+    "highs_lp",
+    "HIGHS_NAME",
+]
 
 HIGHS_NAME = "highs"
 
-# scipy.optimize.milp status codes (documented in OptimizeResult.status)
-_MILP_OPTIMAL = 0
-_MILP_ITER_OR_TIME = 1
-_MILP_INFEASIBLE = 2
-_MILP_UNBOUNDED = 3
-_MILP_NUMERICAL = 4
+_Model = _core.HighsModelStatus
+_ERROR = _core.HighsStatus.kError
+#: the statuses of a MILP stopped at a limit: its incumbent, if any, stands
+_LIMITS = (_Model.kTimeLimit, _Model.kIterationLimit, _Model.kSolutionLimit)
+_STATUSES = {
+    _Model.kOptimal: SolveStatus.OPTIMAL,
+    _Model.kInfeasible: SolveStatus.INFEASIBLE,
+    _Model.kUnbounded: SolveStatus.UNBOUNDED,
+}
+_VAR_TYPES = [_core.HighsVarType(code) for code in range(4)]
+
+
+def highs_lp(
+    c: np.ndarray,
+    A: sp.csr_matrix,
+    row_lb: np.ndarray,
+    row_ub: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    integrality: np.ndarray | None = None,
+) -> "_core.HighsLp":
+    """The ``HighsLp`` of ``min c @ x  s.t.  row_lb <= A @ x <= row_ub,
+    lb <= x <= ub`` (row-wise matrix; integral columns marked when
+    ``integrality`` has any)."""
+    A = A.tocsr()
+    lp = _core.HighsLp()
+    lp.num_col_ = len(c)
+    lp.num_row_ = A.shape[0]
+    lp.col_cost_ = np.asarray(c, dtype=np.float64)
+    lp.col_lower_ = np.asarray(lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(ub, dtype=np.float64)
+    lp.row_lower_ = np.asarray(row_lb, dtype=np.float64)
+    lp.row_upper_ = np.asarray(row_ub, dtype=np.float64)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.asarray(A.indptr, dtype=np.int32)
+    lp.a_matrix_.index_ = np.asarray(A.indices, dtype=np.int32)
+    lp.a_matrix_.value_ = np.asarray(A.data, dtype=np.float64)
+    if integrality is not None and integrality.any():
+        lp.integrality_ = [_VAR_TYPES[code] for code in integrality.tolist()]
+    return lp
 
 
 def solve(
@@ -71,9 +116,8 @@ def solve(
         presolve (or using the ``bnb`` backend) recovers it — see
         EXPERIMENTS.md, "A reproduction war story, part two".
     """
-    form = model.to_standard_form()
     return solve_standard_form(
-        form,
+        model.to_standard_form(),
         time_limit=time_limit,
         mip_gap=mip_gap,
         node_limit=node_limit,
@@ -111,6 +155,29 @@ def solve_standard_form(
     return solution
 
 
+def solve_relaxation(model: Model, fixed: Mapping | None = None) -> Solution:
+    """Solve the LP relaxation of a model (integrality dropped).
+
+    Parameters
+    ----------
+    model:
+        The model whose relaxation to solve.
+    fixed:
+        Optional ``Variable -> value`` mapping of temporary bound
+        fixings applied on top of the model (without mutating it).
+    """
+    form = model.to_standard_form()
+    lb = form.lb.copy()
+    ub = form.ub.copy()
+    for var, value in (fixed or {}).items():
+        lb[var.index] = ub[var.index] = value
+    relaxed = dataclasses.replace(
+        form, lb=lb, ub=ub, integrality=np.zeros_like(form.integrality)
+    )
+    with get_registry().timer("phase.lp_total"):
+        return solve_standard_form(relaxed)
+
+
 def solve_arrays(
     c: np.ndarray,
     A: sp.csr_matrix,
@@ -129,17 +196,23 @@ def solve_arrays(
 ) -> Solution:
     """Solve ``min c @ x  s.t.  row_lb <= A @ x <= row_ub, lb <= x <= ub``.
 
-    The one place :func:`scipy.optimize.milp` is called.  The arrays
+    The one place a HiGHS MILP or one-shot LP is run.  The arrays
     follow the :class:`StandardForm` conventions (``integrality``
     defaults to all-continuous; ``c0`` and ``sense_sign`` map the
     internal minimization back to the caller's objective).  The result
     carries the incumbent as the column vector :attr:`Solution.x` and
     leaves :attr:`Solution.values` empty: there are no
     :class:`~repro.mip.expr.Variable` objects at this level.
+
+    A MILP stopped by its time or node limit is ``FEASIBLE`` with an
+    incumbent and ``NO_SOLUTION`` without one; either way its bound is
+    HiGHS's dual bound whenever that is finite.  HiGHS refusing the
+    model or failing its run raises :class:`SolverError`.
     """
     num_vars = len(c)
     if integrality is None:
         integrality = np.zeros(num_vars, dtype=np.uint8)
+    is_mip = bool(integrality.any())
     trace = current_trace()
     metrics = get_registry()
     metrics.inc("solver.solves")
@@ -173,43 +246,59 @@ def solve_arrays(
             message="empty model",
         )
 
-    options: dict[str, object] = {"mip_rel_gap": mip_gap, "disp": False}
+    if not np.isfinite(c).all():  # HiGHS would solve with a NaN cost
+        raise SolverError("the objective has a non-finite coefficient")
+    options: dict[str, object] = {"output_flag": False, "mip_rel_gap": float(mip_gap)}
     if not presolve:
-        options["presolve"] = False
+        options["presolve"] = "off"
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if node_limit is not None:
-        options["node_limit"] = int(node_limit)
+        options["mip_max_nodes"] = int(node_limit)
 
-    constraints = [LinearConstraint(A, row_lb, row_ub)] if A.shape[0] else []
     start = time.perf_counter()
-    try:
-        res = milp(
-            c=c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options=options,
+    h = _core._Highs()
+    for name, value in options.items():
+        if h.setOptionValue(name, value) == _ERROR:
+            raise SolverError(f"HiGHS rejected the option {name}={value!r}")
+    if h.passModel(highs_lp(c, A, row_lb, row_ub, lb, ub, integrality)) == _ERROR:
+        raise SolverError("HiGHS rejected the model")
+    if h.run() == _ERROR:
+        raise SolverError(
+            f"HiGHS failed: {h.modelStatusToString(h.getModelStatus())}"
         )
-    except Exception as exc:  # pragma: no cover - defensive
-        raise SolverError(f"HiGHS milp failed: {exc}") from exc
     runtime = time.perf_counter() - start
 
-    status = _interpret_status(res)
+    model_status = h.getModelStatus()
+    info = h.getInfo()
+    # an LP's point is only read at its optimum; a MILP's incumbent
+    # also stands at a limit
+    has_incumbent = model_status == _Model.kOptimal or (
+        is_mip
+        and model_status in _LIMITS
+        and info.objective_function_value < _core.kHighsInf
+    )
+    if model_status in _STATUSES:
+        status = _STATUSES[model_status]
+    elif model_status in _LIMITS:
+        status = SolveStatus.FEASIBLE if has_incumbent else SolveStatus.NO_SOLUTION
+    else:  # unbounded-or-infeasible, numerical trouble and the like
+        status = SolveStatus.ERROR
     x = None
     objective = math.nan
-    if res.x is not None:
-        x = _snap_integrality(np.asarray(res.x, dtype=float), integrality)
+    if has_incumbent:
+        x = _snap_integrality(np.array(h.getSolution().col_value), integrality)
         objective = sense_sign * float(c @ x) + c0
 
     best_bound = math.nan
-    dual = getattr(res, "mip_dual_bound", None)
-    if dual is not None and math.isfinite(dual):
-        best_bound = sense_sign * float(dual) + c0
-    elif status is SolveStatus.OPTIMAL and res.x is not None:
+    node_count = 0
+    if is_mip:
+        node_count = max(int(info.mip_node_count), 0)
+        if math.isfinite(info.mip_dual_bound):
+            best_bound = sense_sign * float(info.mip_dual_bound) + c0
+    if math.isnan(best_bound) and status is SolveStatus.OPTIMAL:
         best_bound = objective
 
-    node_count = int(getattr(res, "mip_node_count", 0) or 0)
     metrics.inc("solver.nodes", node_count)
     metrics.add_ms("phase.solve", runtime * 1000.0)
     if trace is not None:
@@ -229,113 +318,8 @@ def solve_arrays(
         runtime=runtime,
         node_count=node_count,
         solver=HIGHS_NAME,
-        message=str(getattr(res, "message", "")),
+        message=h.modelStatusToString(model_status),
     )
-
-
-def solve_relaxation(
-    model: Model,
-    fixed: Mapping | None = None,
-) -> Solution:
-    """Solve the LP relaxation of a model (integrality dropped).
-
-    Parameters
-    ----------
-    model:
-        The model whose relaxation to solve.
-    fixed:
-        Optional ``Variable -> value`` mapping of temporary bound
-        fixings applied on top of the model (used by branch-and-bound
-        without mutating the model).
-    """
-    form = model.to_standard_form()
-    lb = form.lb.copy()
-    ub = form.ub.copy()
-    if fixed:
-        for var, value in fixed.items():
-            lb[var.index] = value
-            ub[var.index] = value
-    return solve_relaxation_arrays(form, lb, ub)
-
-
-def _relaxation_session(form: StandardForm):
-    """The memoized per-form LP session used for relaxation solves.
-
-    Repeated relaxation solves over one compiled form (the relaxation-
-    strength ablation, feasibility probes) share
-    one :class:`~repro.mip.lp_engine.ScipySession`, so the (A_ub, A_eq)
-    split and the bounds buffer are built once per form instead of once
-    per call.  The scipy engine is used deliberately: it preserves the
-    historical ``linprog`` semantics (statuses, vertices) exactly.
-    """
-    session = getattr(form, "_relaxation_session_cache", None)
-    if session is None:
-        from repro.mip.lp_engine import ScipySession
-
-        session = ScipySession(form)
-        form._relaxation_session_cache = session
-    return session
-
-
-def solve_relaxation_arrays(
-    form: StandardForm, lb: np.ndarray, ub: np.ndarray
-) -> Solution:
-    """LP relaxation of a standard form with explicit bound arrays.
-
-    This is the hot path of relaxation-based probes: the constraint
-    matrix is reused across calls and only the bounds change, so the
-    solve goes through the per-form cached LP session.
-    """
-    start = time.perf_counter()
-    outcome = _relaxation_session(form).solve(lb, ub)
-    runtime = time.perf_counter() - start
-    get_registry().add_ms("phase.lp_total", runtime * 1000.0)
-
-    if outcome.status == "optimal":
-        x = outcome.x
-        objective = form.user_objective(x)
-        values = {var: float(x[i]) for i, var in enumerate(form.variables)}
-        return Solution(
-            status=SolveStatus.OPTIMAL,
-            objective=objective,
-            values=values,
-            best_bound=objective,
-            runtime=runtime,
-            solver=f"{HIGHS_NAME}-lp",
-        )
-    if outcome.status == "infeasible":
-        return Solution(
-            status=SolveStatus.INFEASIBLE,
-            runtime=runtime,
-            solver=f"{HIGHS_NAME}-lp",
-        )
-    if outcome.status == "unbounded":
-        return Solution(
-            status=SolveStatus.UNBOUNDED,
-            runtime=runtime,
-            solver=f"{HIGHS_NAME}-lp",
-        )
-    return Solution(
-        status=SolveStatus.ERROR,
-        runtime=runtime,
-        solver=f"{HIGHS_NAME}-lp",
-    )
-
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-def _interpret_status(res) -> SolveStatus:
-    if res.status == _MILP_OPTIMAL:
-        return SolveStatus.OPTIMAL
-    if res.status == _MILP_ITER_OR_TIME:
-        return SolveStatus.FEASIBLE if res.x is not None else SolveStatus.NO_SOLUTION
-    if res.status == _MILP_INFEASIBLE:
-        return SolveStatus.INFEASIBLE
-    if res.status == _MILP_UNBOUNDED:
-        return SolveStatus.UNBOUNDED
-    # numerical trouble: keep the incumbent when one exists
-    return SolveStatus.FEASIBLE if res.x is not None else SolveStatus.ERROR
 
 
 def _snap_integrality(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
@@ -349,42 +333,3 @@ def _snap_integrality(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
         vals[close] = snapped[close]
         x[mask] = vals
     return x
-
-
-def _lp_data(form: StandardForm):
-    """Split the two-sided row system into (A_ub, b_ub, A_eq, b_eq).
-
-    The result is cached on the form instance because branch-and-bound
-    solves thousands of LP relaxations over the same matrix, varying
-    only the variable bounds.
-    """
-    cached = getattr(form, "_lp_data_cache", None)
-    if cached is not None:
-        return cached
-
-    eq = form.row_lb == form.row_ub
-    ineq = ~eq
-    A_ub = b_ub = A_eq = b_eq = None
-    if eq.any():
-        A_eq = form.A[eq]
-        b_eq = form.row_lb[eq]
-    if ineq.any():
-        A = form.A[ineq]
-        lo = form.row_lb[ineq]
-        hi = form.row_ub[ineq]
-        blocks = []
-        rhs = []
-        finite_hi = np.isfinite(hi)
-        if finite_hi.any():
-            blocks.append(A[finite_hi])
-            rhs.append(hi[finite_hi])
-        finite_lo = np.isfinite(lo)
-        if finite_lo.any():
-            blocks.append(-A[finite_lo])
-            rhs.append(-lo[finite_lo])
-        if blocks:
-            A_ub = sp.vstack(blocks).tocsr()
-            b_ub = np.concatenate(rhs)
-    result = (A_ub, b_ub, A_eq, b_eq)
-    form._lp_data_cache = result
-    return result

@@ -2,8 +2,8 @@
 
 A :class:`Model` owns variables, constraints and an objective, and can
 compile itself into the sparse matrix ``StandardForm`` consumed by the
-solver backends (HiGHS via :mod:`scipy.optimize`, or the pure-Python
-branch-and-bound solver in :mod:`repro.mip.bnb`).
+solver backends (HiGHS, through :mod:`repro.mip.highs_backend`, or the
+pure-Python branch-and-bound solver in :mod:`repro.mip.bnb`).
 
 The compilation is the only performance-sensitive step of the modeling
 layer; it assembles a single COO triplet list in one pass over all

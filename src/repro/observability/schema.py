@@ -67,7 +67,7 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
         "optional": {"bound": "float"},
     },
     "lp_session": {
-        "required": {"engine": "str"},
+        "required": {},
         "optional": {},
     },
     "rc_fixing": {

@@ -1,4 +1,8 @@
-"""Tests of the incremental LP engine behind branch-and-bound."""
+"""Tests of the persistent LP session behind branch-and-bound.
+
+:func:`scipy.optimize.linprog`, called inside the tests, is the spec the
+session's answers are checked against.
+"""
 
 from __future__ import annotations
 
@@ -6,41 +10,37 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-import repro.mip.lp_engine as lp_engine
 from repro.mip import Model, ObjectiveSense, quicksum
 from repro.mip import solve as solve_model
 from repro.mip.bnb import BranchAndBoundSolver
-from repro.mip.lp_engine import (
-    HAVE_HIGHS_BINDINGS,
-    HighspySession,
-    ScipySession,
-    make_session,
-    reduced_cost_fixing,
-)
+from repro.mip.lp_engine import LPSession, reduced_cost_fixing
 from repro.observability.metrics import MetricsRegistry, use_registry
 from repro.tvnep.base import ModelOptions
 from repro.tvnep.csigma_model import CSigmaModel
 from repro.workloads import small_scenario
 
-needs_highs = pytest.mark.skipif(
-    not HAVE_HIGHS_BINDINGS, reason="no usable HiGHS bindings"
-)
+
+def linprog_relaxation(form, lb, ub):
+    """The relaxation of ``form`` under ``lb <= x <= ub`` by ``linprog``."""
+    eq = form.row_lb == form.row_ub
+    upper = ~eq & np.isfinite(form.row_ub)
+    lower = ~eq & np.isfinite(form.row_lb)
+    return linprog(
+        form.c,
+        A_ub=sp.vstack([form.A[upper], -form.A[lower]]),
+        b_ub=np.concatenate([form.row_ub[upper], -form.row_lb[lower]]),
+        A_eq=form.A[eq] if eq.any() else None,
+        b_eq=form.row_lb[eq] if eq.any() else None,
+        bounds=np.column_stack([lb, ub]),
+        method="highs",
+    )
 
 
-def pick_engine(monkeypatch, engine):
-    """Make :func:`make_session` load ``engine`` for the rest of the test.
-
-    ``"scipy"`` hides the HiGHS bindings, ``"highs"`` requires them and
-    ``"auto"`` leaves the platform's choice alone.
-    """
-    if engine == "scipy":
-        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", False)
-    elif engine == "highs":
-        if not HAVE_HIGHS_BINDINGS:
-            pytest.skip("no usable HiGHS bindings")
-        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", True)
-
+#: linprog status code -> LPResult status
+LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 def simple_lp():
     """max x + 2y s.t. x + y <= 4, 0 <= x,y <= 3 (optimum 7 at (1, 3))."""
@@ -63,67 +63,46 @@ def knapsack(n=6):
     return m
 
 
-class TestScipySession:
-    def test_solves_and_reuses_buffer(self):
+class TestHighspySession:
+    """:class:`LPSession`, the one persistent HiGHS session (the class
+    keeps its name so its test ids stay stable)."""
+
+    def test_matches_scipy_on_lp(self):
         form = simple_lp()
-        session = ScipySession(form)
-        buffer = session._bounds
-        first = session.solve(form.lb.copy(), form.ub.copy())
-        second = session.solve(form.lb.copy(), form.ub.copy())
-        assert first.status == "optimal"
-        assert form.user_objective(first.x) == pytest.approx(7.0)
-        assert second.internal_obj == pytest.approx(first.internal_obj)
-        # the (n, 2) bounds array is allocated once, not per solve
-        assert session._bounds is buffer
+        expected = linprog_relaxation(form, form.lb, form.ub)
+        with LPSession(form) as session:
+            result = session.solve(form.lb.copy(), form.ub.copy())
+        assert result.status == LINPROG_STATUS[expected.status] == "optimal"
+        assert result.internal_obj == pytest.approx(expected.fun)
+        assert form.user_objective(result.x) == pytest.approx(7.0)
 
     def test_bound_update_changes_answer(self):
         form = simple_lp()
-        session = ScipySession(form)
         ub = form.ub.copy()
         ub[1] = 1.0  # y <= 1
-        result = session.solve(form.lb.copy(), ub)
+        with LPSession(form) as session:
+            session.solve(form.lb.copy(), form.ub.copy())
+            result = session.solve(form.lb.copy(), ub)
+        assert result.internal_obj == pytest.approx(
+            linprog_relaxation(form, form.lb, ub).fun
+        )
         assert form.user_objective(result.x) == pytest.approx(5.0)
 
-    def test_detects_infeasible(self):
-        form = simple_lp()
-        lb = form.lb.copy()
-        lb[:] = 3.0  # x = y = 3 violates x + y <= 4
-        result = ScipySession(form).solve(lb, form.ub.copy())
-        assert result.status == "infeasible"
-        assert result.internal_obj == math.inf
-
-    def test_reports_reduced_costs(self):
-        form = simple_lp()
-        result = ScipySession(form).solve(form.lb.copy(), form.ub.copy())
-        assert result.reduced_costs is not None
+    def test_reduced_costs_match_linprog(self):
+        """The session's reduced costs are linprog's bound marginals."""
+        form = knapsack().to_standard_form()
+        expected = linprog_relaxation(form, form.lb, form.ub)
+        with LPSession(form) as session:
+            result = session.solve(form.lb.copy(), form.ub.copy())
         assert result.reduced_costs.shape == (form.num_vars,)
-
-    def test_counts_cold_starts(self):
-        form = simple_lp()
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            session = ScipySession(form)
-            session.solve(form.lb.copy(), form.ub.copy())
-            session.solve(form.lb.copy(), form.ub.copy(), basis=object())
-        # linprog has no basis interface: everything is a cold start
-        assert registry.counter("solver.lp_cold_starts") == 2
-        assert registry.counter("solver.lp_hot_starts") == 0
-
-
-@needs_highs
-class TestHighspySession:
-    def test_matches_scipy_on_lp(self):
-        form = simple_lp()
-        scipy_res = ScipySession(form).solve(form.lb.copy(), form.ub.copy())
-        with HighspySession(form) as session:
-            highs_res = session.solve(form.lb.copy(), form.ub.copy())
-        assert highs_res.status == scipy_res.status
-        assert highs_res.internal_obj == pytest.approx(scipy_res.internal_obj)
+        assert result.reduced_costs == pytest.approx(
+            expected.lower.marginals + expected.upper.marginals, abs=1e-9
+        )
 
     def test_basis_hot_start(self):
         form = simple_lp()
         registry = MetricsRegistry()
-        with use_registry(registry), HighspySession(form) as session:
+        with use_registry(registry), LPSession(form) as session:
             root = session.solve(form.lb.copy(), form.ub.copy())
             assert root.basis is not None and not root.hot
             ub = form.ub.copy()
@@ -137,46 +116,61 @@ class TestHighspySession:
     def test_detects_infeasible(self):
         form = simple_lp()
         lb = form.lb.copy()
-        lb[:] = 3.0
-        with HighspySession(form) as session:
+        lb[:] = 3.0  # x = y = 3 violates x + y <= 4
+        assert linprog_relaxation(form, lb, form.ub).status == 2
+        with LPSession(form) as session:
             result = session.solve(lb, form.ub.copy())
         assert result.status == "infeasible"
+        assert result.internal_obj == math.inf
 
     def test_differential_bound_sweep(self):
-        """Scipy and HiGHS sessions agree across many bound updates."""
+        """The session agrees with linprog across many bound updates."""
         form = knapsack().to_standard_form()
-        scipy_session = ScipySession(form)
-        with HighspySession(form) as highs_session:
+        with LPSession(form) as session:
             basis = None
             for j in range(form.num_vars):
                 lb = form.lb.copy()
                 ub = form.ub.copy()
                 lb[j] = ub[j] = float(j % 2)  # fix one binary per step
-                a = scipy_session.solve(lb, ub)
-                b = highs_session.solve(lb, ub, basis=basis)
-                basis = b.basis or basis
-                assert a.status == b.status
-                if a.status == "optimal":
-                    assert a.internal_obj == pytest.approx(
-                        b.internal_obj, abs=1e-7
+                expected = linprog_relaxation(form, lb, ub)
+                result = session.solve(lb, ub, basis=basis)
+                basis = result.basis or basis
+                assert result.status == LINPROG_STATUS[expected.status]
+                if result.status == "optimal":
+                    assert result.internal_obj == pytest.approx(
+                        expected.fun, abs=1e-7
                     )
 
+    def test_bnb_node_lps_agree_with_linprog(self, monkeypatch):
+        """Every node LP of a bnb solve is linprog's relaxation, and the
+        search proves HiGHS's MILP optimum."""
+        model = knapsack(7)
+        calls = []
+        solve = LPSession.solve
 
-class TestMakeSession:
-    def test_platform_picks_the_engine(self, monkeypatch):
-        expected = HighspySession if HAVE_HIGHS_BINDINGS else ScipySession
-        with make_session(simple_lp()) as session:
-            assert type(session) is expected
-        monkeypatch.setattr(lp_engine, "HAVE_HIGHS_BINDINGS", False)
-        with make_session(simple_lp()) as session:
-            assert type(session) is ScipySession
+        def recording(session, lb, ub, basis=None):
+            result = solve(session, lb, ub, basis)
+            calls.append((session.form, lb.copy(), ub.copy(), result))
+            return result
+
+        monkeypatch.setattr(LPSession, "solve", recording)
+        result = BranchAndBoundSolver().solve(model)
+        assert len(calls) > 1
+        for form, lb, ub, outcome in calls:
+            expected = linprog_relaxation(form, lb, ub)
+            assert outcome.status == LINPROG_STATUS[expected.status]
+            if outcome.status == "optimal":
+                assert outcome.internal_obj == pytest.approx(expected.fun, abs=1e-7)
+        reference = solve_model(model, backend="highs")
+        assert result.status == reference.status
+        assert result.objective == pytest.approx(reference.objective)
 
 
 class TestReducedCostFixing:
     def test_fixes_provably_bad_columns(self):
         """With a zero gap every nonbasic column with |rc| > 0 is fixed."""
         form = knapsack().to_standard_form()
-        root = ScipySession(form).solve(form.lb.copy(), form.ub.copy())
+        root = LPSession(form).solve(form.lb.copy(), form.ub.copy())
         lb = form.lb.copy()
         ub = form.ub.copy()
         fixed = reduced_cost_fixing(form, lb, ub, root, root.internal_obj)
@@ -186,14 +180,14 @@ class TestReducedCostFixing:
 
     def test_noop_without_incumbent(self):
         form = knapsack().to_standard_form()
-        root = ScipySession(form).solve(form.lb.copy(), form.ub.copy())
+        root = LPSession(form).solve(form.lb.copy(), form.ub.copy())
         lb, ub = form.lb.copy(), form.ub.copy()
         assert reduced_cost_fixing(form, lb, ub, root, math.inf) == 0
         assert np.array_equal(ub, form.ub)
 
     def test_noop_on_infeasible_root(self):
         form = knapsack().to_standard_form()
-        bad = ScipySession(form).solve(form.lb.copy() + 10, form.ub.copy())
+        bad = LPSession(form).solve(form.lb.copy() + 10, form.ub.copy())
         lb, ub = form.lb.copy(), form.ub.copy()
         assert reduced_cost_fixing(form, lb, ub, bad, 0.0) == 0
 
@@ -207,25 +201,13 @@ class TestReducedCostFixing:
 
 
 class TestNodeCacheParity:
-    @pytest.mark.parametrize("engine", ["scipy", "auto"])
-    def test_same_tree_with_and_without_cache(self, engine, monkeypatch):
-        pick_engine(monkeypatch, engine)
+    def test_same_tree_with_and_without_cache(self):
         model = knapsack(7)
         cached = BranchAndBoundSolver(node_lp_cache=True).solve(model)
         uncached = BranchAndBoundSolver(node_lp_cache=False).solve(model)
         assert cached.objective == pytest.approx(uncached.objective)
         assert cached.node_count == uncached.node_count
         assert cached.status == uncached.status
-
-    @needs_highs
-    def test_engines_agree_on_milp(self, monkeypatch):
-        model = knapsack(7)
-        pick_engine(monkeypatch, "highs")
-        highs_res = BranchAndBoundSolver().solve(model)
-        pick_engine(monkeypatch, "scipy")
-        scipy_res = BranchAndBoundSolver().solve(model)
-        assert scipy_res.objective == pytest.approx(highs_res.objective)
-        assert scipy_res.status == highs_res.status
 
 
 class TestCutAndBranch:
@@ -263,11 +245,7 @@ def csigma_gate_model():
 
 
 class TestEngineGates:
-    @pytest.mark.parametrize("engine", ["scipy", "highs"])
-    def test_deterministic_and_agrees_with_highs_backend(
-        self, engine, monkeypatch, csigma_gate_model
-    ):
-        pick_engine(monkeypatch, engine)
+    def test_deterministic_and_agrees_with_highs_backend(self, csigma_gate_model):
         model, reference_objective = csigma_gate_model
         runs = []
         for _ in range(2):
