@@ -7,7 +7,8 @@ a chosen formulation on a chosen workload scale and prints the hottest
 functions, so regressions in the modeling layer (expression churn,
 matrix assembly) show up as data instead of vibes:
 
-* ``BUILD``   — constructing the model object: variables, rows, cuts.
+* ``BUILD``   — constructing the model and building its full form
+  (on first access to ``.model``): variables, rows, cuts.
 * ``COMPILE`` — ``to_standard_form()``: flushing emitted blocks into
   the canonical CSR matrices the backends consume.
 * ``SOLVE``   — the backend solve.
@@ -82,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         fixed_mappings=scenario.node_mappings,
         options=options,
     )
+    model.model  # the full form is built on first access
     build_profile.disable()
 
     # -- compile phase ---------------------------------------------------

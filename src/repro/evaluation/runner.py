@@ -50,7 +50,11 @@ class RunRecord:
     """One evaluation cell (a single solve).
 
     ``status`` is ``"solved"``, ``"no_solution"`` or ``"error"``
-    (the solve failed; ``error`` carries the diagnostic).
+    (the solve failed; ``error`` carries the diagnostic).  An exact
+    cell's ``model_stats`` is the size of the form it solved (its
+    ``"form"`` is ``"master"`` or ``"full"``, see
+    :attr:`~repro.tvnep.base.TemporalModelBase.solved_stats`); the sweep
+    adds ``"embedded_names"``.
     """
 
     scenario: str
@@ -208,7 +212,7 @@ def run_exact(
         algorithm,
         objective,
         solution,
-        model_stats=model.stats(),
+        model_stats=dict(model.solved_stats),
         # objectives over a fixed set keep rejected requests at their
         # defaults; window checks only make sense for embedded ones
         check_windows=(objective == "access_control"),

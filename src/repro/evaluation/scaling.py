@@ -76,14 +76,15 @@ def scaling_study(
     for count in request_counts:
         for seed in seeds:
             scenario: Scenario = factory(seed, count).with_flexibility(flexibility)
+            # the full form is built on first use: here, by stats()
             tick = time.perf_counter()
             model = model_cls(
                 scenario.substrate,
                 scenario.requests,
                 fixed_mappings=scenario.node_mappings,
             )
-            build_time = time.perf_counter() - tick
             stats = model.stats()
+            build_time = time.perf_counter() - tick
             solution = model.solve(backend=backend, time_limit=time_limit)
             report = verify_solution(solution)
             points.append(

@@ -119,6 +119,14 @@ class TemporalModelBase:
     options:
         Formulation switches; subclass constructors choose suitable
         defaults.
+
+    The constructor validates and stores the instance; it builds no
+    formulation.  :attr:`model` and the attributes that hold its
+    variables (``embeddings``, ``t_start``/``t_end``, ``chi_start``, the
+    state machinery, ...) are built together on first access — by
+    :meth:`stats`, :meth:`solve_raw`, a relaxation or LP export, or an
+    objective that reads variables or adds rows.  An access-control
+    :meth:`solve` builds only the masters it solves.
     """
 
     #: ``"compact"`` (|R|+1 events) or ``"full"`` (2|R| events)
@@ -131,9 +139,15 @@ class TemporalModelBase:
     #: the requests whose ``x_E`` flows and link rows are built (``None``:
     #: all); only the masters of :meth:`solve` restrict it
     _link_requests: frozenset[str] | None = None
-    #: ``(variables, rows)`` of :attr:`model` as the constructor left it;
+    #: set on an instance before ``__init__`` runs for ``__init__`` to
+    #: build the form (see :meth:`_build_form`)
+    _build_on_init: bool = False
+    #: ``(variables, rows)`` of :attr:`model` as its build left it;
     #: ``None`` on models grown another way
     _built_size: tuple[int, int] | None = None
+    #: ``Model.stats()`` of the form the last :meth:`solve` solved, with
+    #: ``"form"``: ``"master"`` (the link loop's last round) or ``"full"``
+    solved_stats: dict | None = None
 
     def __init__(
         self,
@@ -156,7 +170,6 @@ class TemporalModelBase:
         self.substrate = substrate
         self.requests = list(requests)
         self.options = options or ModelOptions()
-        self.model = Model(self.formulation_name)
 
         horizon = self.options.time_horizon
         if horizon is None:
@@ -170,7 +183,53 @@ class TemporalModelBase:
         self._fixed_mappings = dict(fixed_mappings or {})
         self._force_embedded = set(force_embedded)
         self._force_rejected = set(force_rejected)
+        if self._build_on_init:
+            self._build()
 
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks; on a model whose
+        # form is not built yet, those are the form's (``model``,
+        # ``embeddings``, ``t_start``, ...): build it, here, on first use.
+        # An instance whose constructor has not stored its inputs cannot.
+        if (
+            name.startswith("__")
+            or self._form_built()
+            or "substrate" not in vars(self)
+        ):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._build_form(self, None)
+        return getattr(self, name)
+
+    def _form_built(self) -> bool:
+        """Whether :attr:`model` exists (built, or grown another way)."""
+        return "model" in vars(self)
+
+    def _build_form(
+        self, form: "TemporalModelBase", linked: frozenset[str] | None
+    ) -> None:
+        """Build ``form`` (this model itself, or a fresh ``__new__``
+        instance) with link structure for ``linked`` (``None``: all).
+
+        The build runs inside a call of the class's ``__init__`` on this
+        model's inputs, so it is timed and traced as construction.
+        """
+        form._link_requests = linked
+        form._build_on_init = True
+        type(self).__init__(
+            form,
+            self.substrate,
+            self.requests,
+            fixed_mappings=self._fixed_mappings,
+            force_embedded=tuple(self._force_embedded),
+            force_rejected=tuple(self._force_rejected),
+            options=self.options,
+        )
+
+    def _build(self) -> None:
+        """Build the formulation into :attr:`model`."""
+        self.model = Model(self.formulation_name)
         with get_registry().timer("model.build"):
             self._build_embeddings()
             self._build_temporal()
@@ -556,11 +615,16 @@ class TemporalModelBase:
         raise NotImplementedError
 
     # ==================================================================
-    # objectives (Sec. IV-E) — defined in repro.tvnep.objectives; thin
-    # default here so a freshly built model is always solvable.
+    # objectives (Sec. IV-E) — the others are in repro.tvnep.objectives
     # ==================================================================
     def set_access_control_objective(self) -> None:
-        """Maximize ``sum_R x_R * d_R * sum_v c_R(v)`` (Sec. IV-E.1)."""
+        """Maximize ``sum_R x_R * d_R * sum_v c_R(v)`` (Sec. IV-E.1).
+
+        Every build sets this default objective, so on a model not built
+        yet there is nothing to set, and nothing is built.
+        """
+        if not self._form_built():
+            return
         self.model.set_objective(
             quicksum(
                 emb.x_embed * emb.request.revenue()
@@ -575,11 +639,12 @@ class TemporalModelBase:
     def solve(self, backend: str = "highs", **kwargs) -> TemporalSolution:
         """Solve to a :class:`TemporalSolution`, adding link rows on demand.
 
-        When :attr:`model` is as the constructor built it (judged by its
-        size: bounds edited afterwards do not reach the master), with
-        static link flows and an objective that prices no ``x_E`` column
+        When :attr:`model` was never built (the default access-control
+        objective), or is as its build left it (judged by its size:
+        bounds edited afterwards do not reach the master), with static
+        link flows and an objective that prices no ``x_E`` column
         (access control, max earliness), the solve is an exact link
-        decomposition:
+        decomposition, which builds no full form:
 
         1. solve a *master*, the same formulation with ``x_E`` columns
            and link rows only for a request set ``L`` (at first empty) —
@@ -606,10 +671,13 @@ class TemporalModelBase:
 
         Any other model (links priced or rows added by an objective, or
         a model without static flows) is solved as built, as
-        ``extract(solve_raw(...))``.
+        ``extract(solve_raw(...))``.  Either way :attr:`solved_stats`
+        then holds the size of the form solved last.
         """
         if not self._link_decomposable():
-            return self.extract(self.solve_raw(backend=backend, **kwargs))
+            raw = self.solve_raw(backend=backend, **kwargs)
+            self.solved_stats = {"form": "full", **self.stats()}
+            return self.extract(raw)
         return self._solve_link_decomposition(backend, kwargs)
 
     def solve_raw(self, backend: str = "highs", **kwargs) -> Solution:
@@ -620,10 +688,11 @@ class TemporalModelBase:
 
     def _link_decomposable(self) -> bool:
         """Whether :meth:`solve` may add the link structure on demand."""
-        if not self.build_static_link_flows or self._built_size != (
-            self.model.num_vars,
-            self.model.num_constraints,
-        ):
+        if not self.build_static_link_flows:
+            return False
+        if not self._form_built():
+            return True
+        if self._built_size != (self.model.num_vars, self.model.num_constraints):
             return False
         priced = {var.index for var in self.model.objective.terms}
         return not any(
@@ -634,19 +703,12 @@ class TemporalModelBase:
 
     def _link_master(self, linked: frozenset[str]) -> "TemporalModelBase":
         """This formulation with link structure only for ``linked``,
-        carrying :attr:`model`'s objective (mapped by variable name)."""
-        cls = type(self)
-        master = cls.__new__(cls)
-        master._link_requests = linked
-        cls.__init__(
-            master,
-            self.substrate,
-            self.requests,
-            fixed_mappings=self._fixed_mappings,
-            force_embedded=tuple(self._force_embedded),
-            force_rejected=tuple(self._force_rejected),
-            options=self.options,
-        )
+        carrying :attr:`model`'s objective (mapped by variable name) if
+        :attr:`model` was built; else the default one of its build."""
+        master = type(self).__new__(type(self))
+        self._build_form(master, linked)
+        if not self._form_built():
+            return master
         by_name = {var.name: var for var in master.model.variables}
         objective = self.model.objective
         master.model.set_objective(
@@ -671,6 +733,7 @@ class TemporalModelBase:
         while True:
             round_index += 1
             master = self._link_master(linked)
+            self.solved_stats = {"form": "master", **master.stats()}
             if deadline is not None:
                 kwargs["time_limit"] = max(0.0, deadline - time.perf_counter())
             raw = solve(master.model, backend=backend, **kwargs)

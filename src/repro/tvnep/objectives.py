@@ -1,9 +1,10 @@
 """The paper's objective functions (Sec. IV-E).
 
-Each function configures the objective of an already-built temporal
-model (any of Delta/Sigma/cSigma).  Objectives 2-4 assume a *fixed* set
-of requests (the paper: "given a fixed set of requests to be
-embedded"); callers express that by constructing the model with
+Each function configures the objective of a temporal model (any of
+Delta/Sigma/cSigma); all but access control, the default, build the
+model's full form if it is not built yet.  Objectives 2-4 assume a
+*fixed* set of requests (the paper: "given a fixed set of requests to
+be embedded"); callers express that by constructing the model with
 ``force_embedded=[...]`` — the helpers here verify it.
 
 1.  :func:`set_access_control` — maximize accepted revenue
@@ -52,14 +53,13 @@ def _require_fixed_set(model: TemporalModelBase, objective: str) -> None:
 
 
 def set_access_control(model: TemporalModelBase) -> None:
-    """Sec. IV-E.1: maximize provider revenue of the accepted set."""
-    model.model.set_objective(
-        quicksum(
-            emb.x_embed * emb.request.revenue()
-            for emb in model.embeddings.values()
-        ),
-        ObjectiveSense.MAXIMIZE,
-    )
+    """Sec. IV-E.1: maximize provider revenue of the accepted set.
+
+    This is every model's default objective
+    (:meth:`~repro.tvnep.base.TemporalModelBase.set_access_control_objective`);
+    on a model whose form is not built yet it builds nothing.
+    """
+    model.set_access_control_objective()
 
 
 def set_max_earliness(model: TemporalModelBase) -> None:

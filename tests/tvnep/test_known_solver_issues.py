@@ -1,4 +1,4 @@
-"""Pinned reproduction of a known upstream HiGHS presolve issue.
+"""Pinned reproductions of known upstream HiGHS presolve issues.
 
 On a model whose optimum requires several big-M rows and variable
 bounds to be simultaneously binding (a boundary-tight schedule in the
@@ -17,6 +17,11 @@ cSigma-Model (:func:`chain_instance`), HiGHS with presolve *off* proves
 a worse answer optimal, while presolve on and ``bnb`` find the optimum.
 On a two-request Delta-Model (:func:`clash_instance`) it even proves
 the model infeasible, although rejecting every request is feasible.
+It also proves worse answers optimal on the node-only cSigma master of
+``small_scenario(6, num_requests=3)`` at 1 h (12.681 for 16.967) and on
+a two-request Sigma-Model (:func:`draw_instance`, 3.0 for 3.5).  Each
+pin below skips once HiGHS gets the answer right; the companion tests
+assert the optimum that presolve on and ``bnb`` recover.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.tvnep import (
     SigmaModel,
     verify_solution,
 )
+from repro.workloads import small_scenario
 
 TRUE_OPTIMUM = 4.75
 
@@ -155,3 +161,89 @@ def test_highs_presolve_off_infeasible_verdict_pinned():
     if res.status == 0:
         pytest.skip("HiGHS presolve-off infeasible verdict appears fixed here")
     assert res.status == 2  # infeasible
+
+
+MASTER_OPTIMUM = 16.966989959667586
+
+
+def small_six_model():
+    """cSigma on ``small_scenario(6, num_requests=3)`` at 1 h: its
+    access-control ``solve`` proves the node-only master optimal in one
+    round."""
+    scenario = small_scenario(6, num_requests=3).with_flexibility(1.0)
+    return CSigmaModel(
+        scenario.substrate, scenario.requests, fixed_mappings=scenario.node_mappings
+    )
+
+
+def test_highs_presolve_off_master_behavior_pinned():
+    """Documents the presolve-off defect on the master (update if fixed)."""
+    solution = small_six_model().solve(time_limit=60, presolve=False)
+    # the defect proves 12.681 (R00+R01) optimal; the optimum is R00+R02
+    assert solution.status == "optimal"
+    assert solution.objective in (
+        pytest.approx(12.681457761878821),
+        pytest.approx(MASTER_OPTIMUM),
+    )
+    if solution.objective == pytest.approx(MASTER_OPTIMUM):
+        pytest.skip("HiGHS presolve-off issue on the cSigma master appears fixed here")
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"backend": "bnb"}], ids=["presolve", "bnb"])
+def test_master_optimum_recovered(kwargs):
+    solution = small_six_model().solve(time_limit=60, **kwargs)
+    assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(MASTER_OPTIMUM)
+    assert solution.embedded_names() == ["R00", "R02"]
+    assert verify_solution(solution).feasible
+
+
+def test_master_optimum_is_the_full_forms():
+    assert small_six_model().solve_raw(time_limit=60).objective == pytest.approx(
+        MASTER_OPTIMUM
+    )
+
+
+DRAW_OPTIMUM = 3.5
+
+
+def draw_instance():
+    """R1 fills the node for 2 h; R0 fits only after it."""
+    substrate = SubstrateNetwork("one")
+    substrate.add_node("s", 1.5)
+    requests = [
+        unit_request("R0", 1.5, 4.5, 1.0, 0.5),
+        unit_request("R1", 1.5, 3.5, 2.0, 1.5),
+    ]
+    return substrate, requests
+
+
+def test_highs_presolve_off_sigma_draw_behavior_pinned():
+    """Documents the presolve-off defect on the Sigma-Model (update if fixed)."""
+    solution = SigmaModel(*draw_instance()).solve(time_limit=60, presolve=False)
+    # the defect proves 3.0 (R1 alone) optimal; R1 then R0 gives 3.5
+    assert solution.status == "optimal"
+    assert solution.objective in (
+        pytest.approx(3.0),
+        pytest.approx(DRAW_OPTIMUM),
+    )
+    if solution.objective == pytest.approx(DRAW_OPTIMUM):
+        pytest.skip("HiGHS presolve-off issue on the Sigma draw appears fixed here")
+
+
+@pytest.mark.parametrize(
+    "model_cls, kwargs",
+    [
+        (SigmaModel, {}),
+        (SigmaModel, {"backend": "bnb"}),
+        (DeltaModel, {}),
+        (CSigmaModel, {}),
+    ],
+    ids=["sigma-presolve", "sigma-bnb", "delta", "csigma"],
+)
+def test_draw_optimum_recovered(model_cls, kwargs):
+    solution = model_cls(*draw_instance()).solve(time_limit=60, **kwargs)
+    assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(DRAW_OPTIMUM)
+    assert solution["R0"].embedded and solution["R1"].embedded
+    assert verify_solution(solution).feasible

@@ -25,6 +25,7 @@ from repro.tvnep import (
     DeltaModel,
     SigmaModel,
     fixed_schedule,
+    set_access_control,
     set_balance_node_load,
     set_disable_links,
     set_max_earliness,
@@ -120,6 +121,91 @@ class TestMatchesFullModel:
         ]
         assert checks[0]["added"] == registry.counter("link_check.requests_added") > 0
         assert checks[1]["added"] == 0
+
+
+def traced_solve(model, **kwargs):
+    """``model.solve(**kwargs)`` traced; (solution, rounds, built sizes)."""
+    registry, trace = MetricsRegistry(), SolveTrace()
+    with use_registry(registry), use_trace(trace):
+        solution = model.solve(**kwargs)
+    builds = [
+        (e["num_vars"], e["num_constraints"])
+        for e in trace.events
+        if e["event"] == "model_build"
+    ]
+    return solution, registry.counter("link_check.rounds"), builds
+
+
+class TestBuildsOnlyWhatIsSolved:
+    """An access-control ``solve`` builds one master per round and never
+    the full form; ``.model`` is built on first access."""
+
+    @staticmethod
+    def assert_masters_only(model, min_rounds):
+        solution, rounds, builds = traced_solve(model, time_limit=120)
+        assert rounds >= min_rounds
+        assert len(builds) == rounds
+        assert model.solved_stats["form"] == "master"
+        solved = (model.solved_stats["variables"], model.solved_stats["constraints"])
+        assert solved == builds[-1]
+        full = model.stats()  # built here, on first use
+        assert (full["variables"], full["constraints"]) not in builds
+        assert_matches_full(model, solution)
+
+    @pytest.mark.parametrize("model_cls", [DeltaModel, SigmaModel, CSigmaModel])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_round(self, model_cls, seed):
+        scenario = small_scenario(seed, num_requests=4).with_flexibility(1.0)
+        self.assert_masters_only(build(model_cls, scenario), min_rounds=1)
+
+    @pytest.mark.parametrize(
+        "model_cls, seed, flexibility",
+        [
+            (DeltaModel, 0, 0.0),
+            (DeltaModel, 2, 1.0),
+            (SigmaModel, 0, 0.0),
+            (SigmaModel, 3, 1.0),
+            *((CSigmaModel, seed, flex) for seed in range(4) for flex in (0.0, 1.0)),
+        ],
+    )
+    def test_tight_links(self, model_cls, seed, flexibility):
+        scenario = small_scenario(seed, link_capacity=1.5).with_flexibility(
+            flexibility
+        )
+        self.assert_masters_only(build(model_cls, scenario), min_rounds=2)
+
+    def test_construction_and_default_objective_build_nothing(self):
+        scenario = small_scenario(0, num_requests=3).with_flexibility(1.0)
+        trace = SolveTrace()
+        with use_trace(trace):
+            model = build(CSigmaModel, scenario)
+            set_access_control(model)
+            assert trace.events == []
+            size = model.stats()
+        builds = [e for e in trace.events if e["event"] == "model_build"]
+        assert [(e["num_vars"], e["num_constraints"]) for e in builds] == [
+            (size["variables"], size["constraints"])
+        ]
+        assert model.stats() == size  # built once
+
+    @pytest.mark.parametrize("model_cls", [DeltaModel, SigmaModel, CSigmaModel])
+    def test_max_earliness_reads_and_writes_one_form(self, model_cls):
+        """``set_max_earliness`` reads ``t_start`` before it writes
+        ``.model``'s objective: both are the full form, built once, and
+        the loop carries that objective to its masters (the objective is
+        the one the eagerly built model reached)."""
+        scenario = small_scenario(1, num_requests=4).with_flexibility(1.0)
+        model = build(
+            model_cls, scenario, force_embedded=[r.name for r in scenario.requests]
+        )
+        set_max_earliness(model)
+        variables = model.model.variables
+        assert all(variables[v.index] is v for v in model.model.objective.terms)
+        solution, rounds, builds = traced_solve(model, time_limit=120)
+        assert rounds == len(builds) >= 1
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(5.26484298310681, rel=1e-9)
+        assert verify_solution(solution, check_windows=False).feasible
 
 
 class TestScope:
