@@ -37,7 +37,6 @@ from repro.mip.model import (
     reset_standard_form_cache_stats,
     standard_form_cache_stats,
 )
-from repro.mip.reader import read_lp, read_lp_file
 from repro.mip.solution import Solution, SolveStatus, relative_gap
 from repro.mip.writer import write_lp, write_lp_file
 
@@ -63,8 +62,6 @@ __all__ = [
     "reset_standard_form_cache_stats",
     "write_lp",
     "write_lp_file",
-    "read_lp",
-    "read_lp_file",
 ]
 
 

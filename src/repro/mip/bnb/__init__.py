@@ -7,12 +7,10 @@ HiGHS.
 
 from repro.mip.bnb.branching import (
     BranchingRule,
-    FirstFractionalBranching,
     MostFractionalBranching,
     PseudoCostBranching,
     make_branching_rule,
 )
-from repro.mip.bnb.cover_cuts import extend_form_with_cuts, separate_cover_cuts
 from repro.mip.bnb.node import BranchNode
 from repro.mip.bnb.presolve import PresolveResult, tighten_bounds
 from repro.mip.bnb.node_selection import (
@@ -28,13 +26,10 @@ __all__ = [
     "BranchAndBoundSolver",
     "solve",
     "BranchNode",
-    "separate_cover_cuts",
-    "extend_form_with_cuts",
     "tighten_bounds",
     "PresolveResult",
     "BranchingRule",
     "MostFractionalBranching",
-    "FirstFractionalBranching",
     "PseudoCostBranching",
     "make_branching_rule",
     "NodeSelection",

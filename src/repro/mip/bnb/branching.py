@@ -1,6 +1,6 @@
 """Branching-variable selection rules for the branch-and-bound solver.
 
-Three classic rules are provided:
+Two classic rules are provided:
 
 * :class:`MostFractionalBranching` — pick the integral column whose LP
   value is farthest from an integer (the textbook default).
@@ -8,8 +8,6 @@ Three classic rules are provided:
   observed in past branchings and pick the column with the best expected
   product score (Achterberg's product rule); falls back to
   most-fractional until enough history accumulates.
-* :class:`FirstFractionalBranching` — lowest-index fractional column;
-  deterministic and useful in tests.
 
 All rules operate on raw NumPy arrays for speed.
 """
@@ -24,7 +22,6 @@ import numpy as np
 __all__ = [
     "BranchingRule",
     "MostFractionalBranching",
-    "FirstFractionalBranching",
     "PseudoCostBranching",
     "fractional_columns",
     "make_branching_rule",
@@ -78,16 +75,6 @@ class MostFractionalBranching(BranchingRule):
         frac = x[candidates] - np.floor(x[candidates])
         score = np.abs(frac - 0.5)
         return int(candidates[np.argmin(score)])
-
-
-class FirstFractionalBranching(BranchingRule):
-    """Branch on the lowest-index fractional column (deterministic)."""
-
-    def select(self, x: np.ndarray, integrality: np.ndarray) -> int:
-        candidates = fractional_columns(x, integrality)
-        if candidates.size == 0:
-            raise ValueError("no fractional column to branch on")
-        return int(candidates[0])
 
 
 class PseudoCostBranching(BranchingRule):
@@ -149,10 +136,9 @@ class PseudoCostBranching(BranchingRule):
 
 
 def make_branching_rule(name: str) -> BranchingRule:
-    """Factory: ``"most_fractional"``, ``"first"`` or ``"pseudocost"``."""
+    """Factory: ``"most_fractional"`` or ``"pseudocost"``."""
     table = {
         "most_fractional": MostFractionalBranching,
-        "first": FirstFractionalBranching,
         "pseudocost": PseudoCostBranching,
     }
     try:

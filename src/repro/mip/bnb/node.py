@@ -101,12 +101,3 @@ class BranchNode:
             lb[i] = max(lb[i], entry.local_lb)
             ub[i] = min(ub[i], entry.local_ub)
         return lb, ub
-
-    def path_description(self) -> str:
-        """Human-readable branching path (for debug logging)."""
-        parts = []
-        node: Optional[BranchNode] = self
-        while node is not None and node.parent is not None:
-            parts.append(f"x{node.var_index}∈[{node.local_lb:g},{node.local_ub:g}]")
-            node = node.parent
-        return " ∧ ".join(reversed(parts)) or "<root>"

@@ -52,7 +52,7 @@ class BranchAndBoundSolver:
     Parameters
     ----------
     branching:
-        Branching rule name (``most_fractional``/``first``/``pseudocost``)
+        Branching rule name (``most_fractional``/``pseudocost``)
         or a :class:`BranchingRule` instance.
     node_selection:
         Node-selection name (``best_bound``/``dfs``/``hybrid``) or a
@@ -81,8 +81,6 @@ class BranchAndBoundSolver:
         integrality_tol: float = 1e-6,
         presolve: bool = True,
         rounding_heuristic: bool = True,
-        cover_cuts: bool = False,
-        max_cut_rounds: int = 5,
         rc_fixing: bool = True,
         node_lp_cache: bool = True,
     ) -> None:
@@ -92,8 +90,6 @@ class BranchAndBoundSolver:
         self.integrality_tol = integrality_tol
         self.presolve = presolve
         self.rounding_heuristic = rounding_heuristic
-        self.cover_cuts = cover_cuts
-        self.max_cut_rounds = max_cut_rounds
         self.rc_fixing = rc_fixing
         self.node_lp_cache = node_lp_cache
 
@@ -280,59 +276,7 @@ class BranchAndBoundSolver:
                 message="root LP failed",
             )
 
-        # cut-and-branch: strengthen the root with cover cuts
-        if self.cover_cuts:
-            from repro.mip.bnb.cover_cuts import (
-                extend_form_with_cuts,
-                separate_cover_cuts,
-            )
-
-            for cut_round in range(self.max_cut_rounds):
-                if root_outcome.x is None:
-                    break
-                if fractional_columns(
-                    root_outcome.x, form.integrality, self.integrality_tol
-                ).size == 0:
-                    break
-                with metrics.timer("phase.cuts"):
-                    cuts = separate_cover_cuts(form, root_outcome.x)
-                if not cuts:
-                    break
-                metrics.inc("solver.cuts_added", len(cuts))
-                form = extend_form_with_cuts(form, cuts)
-                # a session is bound to one form: reload the
-                # strengthened form into a fresh one
-                session.close()
-                session = LPSession(form)
-                with metrics.timer("phase.cuts"):
-                    root_outcome = session.solve(root_lb, root_ub)
-                root.basis = root_outcome.basis
-                nodes_processed += 1
-                if trace is not None:
-                    payload = {
-                        "round": cut_round + 1,
-                        "cuts_added": len(cuts),
-                        "status": root_outcome.status,
-                    }
-                    if root_outcome.status == "optimal":
-                        payload["bound"] = form.user_bound(
-                            root_outcome.internal_obj
-                        )
-                    trace.emit("cut_round", **payload)
-                if root_outcome.status != "optimal":
-                    break
-            if root_outcome.status == "infeasible":
-                return self._finish(
-                    form, None, math.inf, math.inf, start, nodes_processed, False,
-                    trace=trace, metrics=metrics,
-                    lp_iters_before=lp_iters_before,
-                    lp_hot_before=lp_hot_before,
-                    lp_cold_before=lp_cold_before,
-                    session=session,
-                )
-
         root.lp_bound = root_outcome.internal_obj
-        root.basis = root_outcome.basis
         global_bound = root_outcome.internal_obj
         frontier_open = True
 

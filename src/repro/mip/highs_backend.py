@@ -14,7 +14,8 @@ imported here once as ``_core``:
   persistent :class:`~repro.mip.lp_engine.LPSession`.
 
 The first three go through the one array-level entry
-:func:`solve_arrays`; all four load their problem with :func:`highs_lp`.
+:func:`solve_arrays`; all four load their problem with :func:`highs_lp`
+and run it with :func:`run_highs`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "solve_standard_form",
     "solve_relaxation",
     "highs_lp",
+    "run_highs",
     "HIGHS_NAME",
 ]
 
@@ -84,6 +86,22 @@ def highs_lp(
     if integrality is not None and integrality.any():
         lp.integrality_ = [_VAR_TYPES[code] for code in integrality.tolist()]
     return lp
+
+
+def run_highs(h: "_core._Highs", presolve: bool = True) -> "_core.HighsStatus":
+    """Run ``h`` and return the status of its last run.
+
+    With presolve on, HiGHS stops at ``kUnboundedOrInfeasible`` when
+    presolve cannot tell the two apart; the model is then run once more
+    without presolve, which decides it, and presolve is switched back
+    on.  With ``presolve=False`` nothing is re-run.
+    """
+    run_status = h.run()
+    if presolve and h.getModelStatus() == _Model.kUnboundedOrInfeasible:
+        h.setOptionValue("presolve", "off")
+        run_status = h.run()
+        h.setOptionValue("presolve", "on")
+    return run_status
 
 
 def solve(
@@ -263,7 +281,7 @@ def solve_arrays(
             raise SolverError(f"HiGHS rejected the option {name}={value!r}")
     if h.passModel(highs_lp(c, A, row_lb, row_ub, lb, ub, integrality)) == _ERROR:
         raise SolverError("HiGHS rejected the model")
-    if h.run() == _ERROR:
+    if run_highs(h, presolve) == _ERROR:
         raise SolverError(
             f"HiGHS failed: {h.modelStatusToString(h.getModelStatus())}"
         )

@@ -10,8 +10,8 @@ mutates the column bounds in place (``changeColsBounds``) and, when the
 caller supplies the parent node's basis, hot-starts the dual simplex
 from it (``setBasis``) — child relaxations differ from their parent by
 a single bound change, so re-optimization typically takes a handful of
-pivots instead of a full solve.  A session is bound to one form;
-branch-and-bound closes it and opens a new one after each cut round.
+pivots instead of a full solve.  A session is bound to one form and
+lives for one branch-and-bound solve.
 
 On top of the session, :func:`reduced_cost_fixing` implements root
 reduced-cost fixing: given the root relaxation's reduced costs and an
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from repro.mip.highs_backend import _core, highs_lp
+from repro.mip.highs_backend import _core, highs_lp, run_highs
 from repro.mip.model import StandardForm
 from repro.observability import get_registry
 
@@ -103,10 +103,8 @@ class LPSession:
     column bounds in place and (when a parent basis is supplied)
     hot-starts the dual simplex from it.  Runs single-threaded so the
     pivot sequence — and therefore every objective, node count and
-    trace byte — is deterministic for a fixed call sequence.  Sessions
-    are bound to one (immutable) :class:`StandardForm` — when
-    branch-and-bound extends the form with cutting planes it opens a
-    fresh session.
+    trace byte — is deterministic for a fixed call sequence.  A session
+    is bound to one (immutable) :class:`StandardForm`.
     """
 
     def __init__(self, form: StandardForm) -> None:
@@ -149,14 +147,8 @@ class LPSession:
             if basis is not None:
                 h.setBasis(basis)
         with metrics.timer("phase.lp"):
-            h.run()
+            run_highs(h)
         status = h.getModelStatus()
-        if status == _Model.kUnboundedOrInfeasible:
-            # presolve could not tell the two apart; re-run without it
-            h.setOptionValue("presolve", "off")
-            h.run()
-            status = h.getModelStatus()
-            h.setOptionValue("presolve", "on")
         info = h.getInfo()
         iterations = int(info.simplex_iteration_count)
         if iterations < 0:  # HiGHS reports -1 for "not run"

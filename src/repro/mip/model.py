@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -349,15 +349,6 @@ class Model:
         self._num_rows += 1
         self.invalidate_standard_form()
         return constraint
-
-    def add_constrs(
-        self, constraints: Iterable[Constraint], prefix: str = ""
-    ) -> list[Constraint]:
-        """Register several constraints, optionally auto-naming them."""
-        added = []
-        for i, con in enumerate(constraints):
-            added.append(self.add_constr(con, name=f"{prefix}{i}" if prefix else ""))
-        return added
 
     def add_row_block(self, block: "RowBlock") -> "RowBlock":
         """Register a pre-compiled :class:`~repro.mip.columnar.RowBlock`.

@@ -11,22 +11,12 @@ from repro.network.generators import (
     fat_tree_substrate,
     grid_substrate,
     line_substrate,
-    paper_substrate,
-    random_substrate,
     ring_substrate,
 )
 from repro.network.request import Request, TemporalSpec, VirtualNetwork
 from repro.network.substrate import SubstrateNetwork
 from repro.network.validation import LintReport, lint_instance
-from repro.network.topologies import (
-    balanced_tree,
-    bipartite_shuffle,
-    chain,
-    full_mesh,
-    ring,
-    star,
-    virtual_cluster,
-)
+from repro.network.topologies import bipartite_shuffle, chain, ring, star
 
 __all__ = [
     "SubstrateNetwork",
@@ -34,18 +24,13 @@ __all__ = [
     "TemporalSpec",
     "Request",
     "grid_substrate",
-    "paper_substrate",
     "fat_tree_substrate",
-    "random_substrate",
     "line_substrate",
     "ring_substrate",
     "star",
     "chain",
     "ring",
-    "full_mesh",
-    "balanced_tree",
     "bipartite_shuffle",
-    "virtual_cluster",
     "LintReport",
     "lint_instance",
 ]

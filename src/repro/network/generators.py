@@ -8,16 +8,12 @@ shapes for the examples and extension benchmarks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import ValidationError
 from repro.network.substrate import SubstrateNetwork
 
 __all__ = [
     "grid_substrate",
-    "paper_substrate",
     "fat_tree_substrate",
-    "random_substrate",
     "line_substrate",
     "ring_substrate",
 ]
@@ -52,15 +48,6 @@ def grid_substrate(
                     f"s({r},{c})", f"s({r+1},{c})", link_capacity
                 )
     return net
-
-
-def paper_substrate() -> SubstrateNetwork:
-    """The exact evaluation substrate of Sec. VI-A.
-
-    4x5 directed grid, 20 nodes with capacity 3.5, 62 directed links
-    with capacity 5.
-    """
-    return grid_substrate(4, 5, node_capacity=3.5, link_capacity=5.0, name="paper4x5")
 
 
 def fat_tree_substrate(
@@ -101,41 +88,6 @@ def fat_tree_substrate(
             for h in range(half):
                 host = net.add_node(f"host{pod}.{e}.{h}", host_capacity)
                 net.add_bidirectional_link(edge, host, link_capacity)
-    return net
-
-
-def random_substrate(
-    num_nodes: int,
-    edge_probability: float,
-    node_capacity: float,
-    link_capacity: float,
-    rng: np.random.Generator | int | None = None,
-    name: str | None = None,
-    max_attempts: int = 200,
-) -> SubstrateNetwork:
-    """A random strongly connected substrate (Erdos-Renyi + cycle backbone).
-
-    A directed Hamiltonian cycle guarantees strong connectivity; extra
-    directed edges are added independently with ``edge_probability``.
-    """
-    if num_nodes < 2:
-        raise ValidationError("random substrate needs >= 2 nodes")
-    if not 0 <= edge_probability <= 1:
-        raise ValidationError("edge_probability must lie in [0, 1]")
-    del max_attempts  # connectivity guaranteed by the backbone cycle
-    rng = np.random.default_rng(rng)
-    net = SubstrateNetwork(name or f"random{num_nodes}")
-    names = [f"s{i}" for i in range(num_nodes)]
-    for n in names:
-        net.add_node(n, node_capacity)
-    for i in range(num_nodes):
-        net.add_link(names[i], names[(i + 1) % num_nodes], link_capacity)
-    for i in range(num_nodes):
-        for j in range(num_nodes):
-            if i == j or (j - i) % num_nodes == 1:
-                continue
-            if rng.random() < edge_probability:
-                net.add_link(names[i], names[j], link_capacity)
     return net
 
 

@@ -10,7 +10,7 @@ models.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
@@ -105,21 +105,6 @@ class VirtualNetwork:
 
     def total_link_demand(self) -> float:
         return sum(self._link_demand.values())
-
-    @classmethod
-    def from_specs(
-        cls,
-        name: str,
-        nodes: Mapping[VNodeId, float],
-        links: Iterable[tuple[VNodeId, VNodeId, float]],
-    ) -> "VirtualNetwork":
-        """Build from ``{node: demand}`` plus ``(tail, head, demand)`` triples."""
-        vnet = cls(name)
-        for node, demand in nodes.items():
-            vnet.add_node(node, demand)
-        for tail, head, demand in links:
-            vnet.add_link(tail, head, demand)
-        return vnet
 
     def __repr__(self) -> str:
         return (
@@ -237,8 +222,10 @@ class Request:
     def with_schedule(self, start: float, end: float) -> "Request":
         """Copy whose window is pinned to an exact schedule.
 
-        Used by the greedy algorithm: once a request is accepted, its
-        start/end are frozen by setting ``t^s = start`` and ``t^e = end``.
+        Sets ``t^s = start`` and ``t^e = end``.  The MIP specification
+        of the greedy (``tests/tvnep/reference_mip_greedy.py``) pins each
+        accepted request this way, and the verifier-mutation tests build
+        their mutated schedules with it.
         """
         if abs((end - start) - self.duration) > 1e-6:
             raise ValidationError(

@@ -8,7 +8,7 @@ use strings like ``"s(0,1)"``).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable
 from typing import Iterator
 
 import networkx as nx
@@ -154,45 +154,8 @@ class SubstrateNetwork:
         return iter(self._node_capacity)
 
     # ------------------------------------------------------------------
-    # bulk helpers
+    # whole-graph views
     # ------------------------------------------------------------------
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[NodeId, NodeId]],
-        node_capacity: float | Mapping[NodeId, float],
-        link_capacity: float | Mapping[LinkId, float],
-        name: str = "substrate",
-    ) -> "SubstrateNetwork":
-        """Build a substrate from a directed edge list.
-
-        Capacities may be uniform scalars or per-resource mappings.
-        """
-        net = cls(name=name)
-        edges = list(edges)
-        seen: list[NodeId] = []
-        seen_set: set[NodeId] = set()
-        for u, v in edges:
-            for n in (u, v):
-                if n not in seen_set:
-                    seen.append(n)
-                    seen_set.add(n)
-        for n in seen:
-            cap = (
-                node_capacity[n]
-                if isinstance(node_capacity, Mapping)
-                else node_capacity
-            )
-            net.add_node(n, cap)
-        for u, v in edges:
-            cap = (
-                link_capacity[(u, v)]
-                if isinstance(link_capacity, Mapping)
-                else link_capacity
-            )
-            net.add_link(u, v, cap)
-        return net
-
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (capacities as attrs)."""
         graph = nx.DiGraph(name=self.name)

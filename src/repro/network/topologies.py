@@ -4,7 +4,7 @@ The paper's workload uses five-node *stars* ("a classical master-slave
 relationship, or a Virtual Cluster"), with all links either directed
 toward the center or away from it.  This module provides that builder
 plus the other standard VNet shapes used by the examples and extension
-benchmarks (chains, rings, trees, full meshes, bipartite shuffles).
+benchmarks (chains, rings, bipartite shuffles).
 
 All builders take demands either as scalars (uniform) or per-element
 sequences, and return :class:`~repro.network.request.VirtualNetwork`.
@@ -21,10 +21,7 @@ __all__ = [
     "star",
     "chain",
     "ring",
-    "full_mesh",
-    "balanced_tree",
     "bipartite_shuffle",
-    "virtual_cluster",
 ]
 
 
@@ -113,93 +110,6 @@ def ring(
         vnet.add_node(f"n{i}", node_demands[i])
     for i in range(size):
         vnet.add_link(f"n{i}", f"n{(i+1) % size}", link_demands[i])
-    return vnet
-
-
-def full_mesh(
-    name: str,
-    size: int,
-    node_demand: float | Sequence[float],
-    link_demand: float,
-) -> VirtualNetwork:
-    """All-to-all directed links (SecondNet-style VM-pair guarantees)."""
-    if size < 2:
-        raise ValidationError("full mesh needs at least two nodes")
-    node_demands = _demand_list(node_demand, size, "node")
-    vnet = VirtualNetwork(name)
-    for i in range(size):
-        vnet.add_node(f"n{i}", node_demands[i])
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                vnet.add_link(f"n{i}", f"n{j}", float(link_demand))
-    return vnet
-
-
-def balanced_tree(
-    name: str,
-    branching: int,
-    depth: int,
-    node_demand: float,
-    link_demand: float,
-    direction: str = "down",
-) -> VirtualNetwork:
-    """A balanced tree (aggregation or distribution trees).
-
-    Parameters
-    ----------
-    branching:
-        Children per internal node (>= 1).
-    depth:
-        Number of edge levels (>= 1); ``depth=1, branching=k`` equals a
-        ``k``-leaf star.
-    direction:
-        ``"down"`` — links parent->child, ``"up"`` — child->parent.
-    """
-    if branching < 1 or depth < 1:
-        raise ValidationError("tree needs branching >= 1 and depth >= 1")
-    if direction not in ("down", "up"):
-        raise ValidationError("direction must be 'down' or 'up'")
-    vnet = VirtualNetwork(name)
-    vnet.add_node("r", float(node_demand))
-    frontier = ["r"]
-    for level in range(depth):
-        next_frontier = []
-        for parent in frontier:
-            for c in range(branching):
-                child = f"{parent}.{c}"
-                vnet.add_node(child, float(node_demand))
-                if direction == "down":
-                    vnet.add_link(parent, child, float(link_demand))
-                else:
-                    vnet.add_link(child, parent, float(link_demand))
-                next_frontier.append(child)
-        frontier = next_frontier
-    return vnet
-
-
-def virtual_cluster(
-    name: str,
-    vms: int,
-    vm_demand: float,
-    bandwidth: float,
-) -> VirtualNetwork:
-    """An Oktopus-style hose-model virtual cluster ``<N, B>``.
-
-    ``vms`` VMs connect to a zero-demand *virtual switch* through
-    bidirectional links of capacity ``bandwidth`` — the standard graph
-    encoding of the hose model's per-VM ingress/egress guarantee.  The
-    paper notes its algorithms "support all these models" (Sec. VII-a);
-    this builder makes the hose case a first-class request shape.
-    """
-    if vms < 1:
-        raise ValidationError("virtual cluster needs at least one VM")
-    vnet = VirtualNetwork(name)
-    switch = vnet.add_node("switch", 0.0)
-    for i in range(vms):
-        vm = vnet.add_node(f"vm{i}", float(vm_demand))
-        vnet.add_link(vm, switch, float(bandwidth))
-        vnet.add_link(switch, vm, float(bandwidth))
     return vnet
 
 

@@ -1,7 +1,7 @@
 """Solver observability: metrics, structured traces, and their schema.
 
 The paper's whole evaluation (Sec. V/VI) argues about *solver effort* —
-node counts, relaxation strength, the payoff of cuts and presolve — so
+node counts, relaxation strength, the payoff of presolve — so
 this subpackage gives every solve a measurable shape:
 
 * :class:`MetricsRegistry` — process-scoped counters, gauges,
@@ -9,7 +9,7 @@ this subpackage gives every solve a measurable shape:
   semantics, so per-worker metrics from a parallel sweep fold back into
   exactly the numbers a serial run produces.
 * :class:`SolveTrace` — a structured per-solve event stream (presolve,
-  root relaxation, node expansions, cut rounds, incumbent updates,
+  root relaxation, node expansions, incumbent updates,
   warm-start acceptance) serialized as JSONL.  Traces carry **no wall-clock data**, which is what makes them
   byte-identical across runs for a fixed seed — see
   ``docs/observability.md`` for the determinism contract.

@@ -231,7 +231,6 @@ def telemetry_block(snap: dict) -> dict:
         "lp_cold_starts": int(cold),
         "basis_reuse_ratio": round(hot / (hot + cold), 6) if hot + cold else 0.0,
         "rc_fixed_cols": int(counters.get("solver.rc_fixed_cols", 0)),
-        "cuts_added": int(counters.get("solver.cuts_added", 0)),
         "cache_hits": int(counters.get("cache.standard_form_hits", 0)),
         "cache_misses": int(counters.get("cache.standard_form_misses", 0)),
         "warm_start_used": counters.get("warmstart.used", 0) > 0,

@@ -74,10 +74,6 @@ TRACE_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
         "required": {"fixed_cols": "int"},
         "optional": {"gap": "float"},
     },
-    "cut_round": {
-        "required": {"round": "int", "cuts_added": "int"},
-        "optional": {"bound": "float", "status": "str"},
-    },
     "node": {
         "required": {"node": "int", "status": "str"},
         "optional": {"bound": "float", "fractional": "int", "depth": "int"},

@@ -2,7 +2,7 @@
 
 A :class:`SolveTrace` is an append-only sequence of events describing
 one solve (or one sweep cell): presolve outcome, root relaxation,
-node expansions, cut rounds, incumbent updates, warm-start acceptance
+node expansions, incumbent updates, warm-start acceptance
 and the bnb's time/node-limit stops.  The event
 vocabulary and required fields are published in
 :mod:`repro.observability.schema`.
@@ -10,7 +10,7 @@ vocabulary and required fields are published in
 **Determinism contract** (enforced by tests and the CI smoke job): an
 event payload never contains wall-clock data — no timestamps, no
 runtimes, no remaining-time seconds.  Everything recorded (bounds,
-objective values, node/cut counts, statuses) is a pure function of the
+objective values, node counts, statuses) is a pure function of the
 model and the solver configuration, so a fixed-seed solve serializes to
 a *byte-identical* trace on every run, and a parallel sweep writes the
 same trace file as a serial one.  Wall-clock observations belong in the
@@ -119,17 +119,6 @@ class SolveTrace:
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
         return len(self.events)
-
-    @staticmethod
-    def read_events(path: str) -> list[dict]:
-        """Parse a JSONL trace file back into event dicts."""
-        events: list[dict] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        return events
 
 
 #: the trace stack; ``None`` entries mean "tracing off" for the scope

@@ -2,18 +2,10 @@
 
 from repro.temporal.dependency import DepNode, PointKind, TemporalDependencyGraph
 from repro.temporal.events import EventSpace, Timeline
-from repro.temporal.interval import (
-    Interval,
-    critical_points,
-    merge_intervals,
-    total_length,
-)
+from repro.temporal.interval import Interval
 
 __all__ = [
     "Interval",
-    "merge_intervals",
-    "total_length",
-    "critical_points",
     "EventSpace",
     "Timeline",
     "TemporalDependencyGraph",

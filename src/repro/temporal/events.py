@@ -91,30 +91,6 @@ class EventSpace:
             return range(2, self.num_requests + 2)
         return self.events
 
-    def check_event(self, index: int) -> None:
-        if not 1 <= index <= self.num_events:
-            raise ValidationError(
-                f"event index {index} out of range 1..{self.num_events}"
-            )
-
-    def check_state(self, index: int) -> None:
-        if not 1 <= index <= self.num_states:
-            raise ValidationError(
-                f"state index {index} out of range 1..{self.num_states}"
-            )
-
-    def states_spanned(self, start_event: int, end_event: int) -> range:
-        """States during which a request is (conservatively) active.
-
-        A request starting at ``e_j`` and ending at ``e_k`` is active at
-        states ``j .. k-1`` (in the compact layout "ending at e_k" means
-        "ends within ``[t_{e_{k-1}}, t_{e_k}]``", so state ``k-1`` still
-        counts as active).
-        """
-        self.check_event(start_event)
-        self.check_event(end_event)
-        return range(start_event, end_event)
-
 
 class Timeline:
     """Piecewise-constant per-resource allocation profile of a schedule.

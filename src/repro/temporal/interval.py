@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.exceptions import ValidationError
 
-__all__ = ["Interval", "merge_intervals", "total_length", "critical_points"]
+__all__ = ["Interval"]
 
 
 @dataclass(frozen=True, order=True)
@@ -85,35 +84,3 @@ class Interval:
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
 
-
-def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    """Merge overlapping/touching intervals into a disjoint sorted list."""
-    ordered = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged: list[Interval] = []
-    for iv in ordered:
-        if merged and iv.lo <= merged[-1].hi:
-            if iv.hi > merged[-1].hi:
-                merged[-1] = Interval(merged[-1].lo, iv.hi)
-        else:
-            merged.append(iv)
-    return merged
-
-
-def total_length(intervals: Iterable[Interval]) -> float:
-    """Total measure of a set of (possibly overlapping) intervals."""
-    return sum(iv.length for iv in merge_intervals(intervals))
-
-
-def critical_points(intervals: Iterable[Interval]) -> list[float]:
-    """Sorted unique endpoints of a set of intervals.
-
-    Resource allocations of a TVNEP solution are piecewise constant
-    between consecutive critical points, so checking capacity at one
-    interior point per gap suffices (the event-point insight of
-    Sec. III-A).
-    """
-    points: set[float] = set()
-    for iv in intervals:
-        points.add(iv.lo)
-        points.add(iv.hi)
-    return sorted(points)

@@ -261,9 +261,9 @@ class TemporalModelBase:
 
         Kept separate from :meth:`_build_embeddings` because the event
         space, dependency graph and state machinery are global functions
-        of the request set — the incremental greedy model rebuilds only
-        this part per insertion while the per-request embedding blocks
-        persist.
+        of the request set — :class:`~repro.tvnep.incremental.IncrementalCSigmaModel`
+        rebuilds only this part per insertion while the per-request
+        embedding blocks persist.
         """
         self.events = EventSpace(
             len(self.requests), compact=self.layout == "compact"

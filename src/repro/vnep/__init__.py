@@ -5,17 +5,11 @@
   temporal model.
 * :class:`StaticVNEPModel` — the classic time-less VNEP as a MIP.
 * Heuristics — random (the paper's methodology) and capacity-aware node
-  mappings plus shortest-path link routing.
+  mappings.
 """
 
 from repro.vnep.embedding_vars import EmbeddingVariables, NodeMapping
-from repro.vnep.heuristics import (
-    derive_mappings,
-    greedy_node_mapping,
-    link_mapping_usage,
-    random_node_mapping,
-    shortest_path_link_mapping,
-)
+from repro.vnep.heuristics import greedy_node_mapping, random_node_mapping
 from repro.vnep.static_model import StaticEmbeddingResult, StaticVNEPModel
 
 __all__ = [
@@ -25,7 +19,4 @@ __all__ = [
     "StaticEmbeddingResult",
     "random_node_mapping",
     "greedy_node_mapping",
-    "shortest_path_link_mapping",
-    "link_mapping_usage",
-    "derive_mappings",
 ]

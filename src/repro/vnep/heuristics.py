@@ -1,37 +1,26 @@
-"""Fast heuristics for static node and link mapping.
+"""Fast heuristics for static node mapping.
 
 The paper's evaluation fixes node mappings *uniformly at random*
 (Sec. VI-A); real deployments do better.  This module provides:
 
 * :func:`random_node_mapping` — the paper's methodology,
-* :func:`greedy_node_mapping` — capacity-aware first-fit-decreasing
-  placement that keeps a request's nodes close together,
-* :func:`shortest_path_link_mapping` — unsplittable single-path link
-  routing given a node mapping (a classic VNEP baseline), with its
-  capacity feasibility check.
+* :func:`greedy_node_mapping` — capacity-aware best-fit-decreasing
+  placement for callers that track residual capacities.
 
-These feed the greedy algorithm (which needs a node-mapping provider)
-and the example applications.
+The scenario generators draw their a-priori mappings with the first;
+the examples use the second.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 
-import networkx as nx
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.network.request import Request
 from repro.network.substrate import SubstrateNetwork
 
-__all__ = [
-    "random_node_mapping",
-    "greedy_node_mapping",
-    "shortest_path_link_mapping",
-    "link_mapping_usage",
-    "derive_mappings",
-]
+__all__ = ["random_node_mapping", "greedy_node_mapping"]
 
 
 def random_node_mapping(
@@ -90,88 +79,3 @@ def greedy_node_mapping(
         residual[best] -= demand
     return mapping
 
-
-def derive_mappings(
-    substrate: SubstrateNetwork,
-    requests,
-    method: str = "greedy",
-    rng: np.random.Generator | int | None = None,
-) -> dict[str, dict[Hashable, Hashable]]:
-    """Produce the a-priori node mappings the temporal algorithms need.
-
-    The paper's greedy (Sec. V) consumes *given* node mappings; this
-    helper derives them for callers that have none:
-
-    * ``method="random"`` — the paper's evaluation methodology
-      (uniform, collision-blind);
-    * ``method="greedy"`` — capacity-aware placement.  Requests are
-      placed in decreasing-revenue order against *peak-oblivious*
-      residual capacities: each host's budget is its full capacity
-      (requests time-share it), but a single request may never exceed
-      it — exactly the per-request feasibility the solvers enforce.
-      Requests that cannot be placed get a random fallback mapping
-      (they will simply be rejected).
-
-    Returns ``{request name: {virtual node: substrate node}}``.
-    """
-    rng = np.random.default_rng(rng)
-    if method not in ("greedy", "random"):
-        raise ValidationError(
-            f"unknown mapping method {method!r}; expected 'greedy' or 'random'"
-        )
-    mappings: dict[str, dict[Hashable, Hashable]] = {}
-    if method == "random":
-        for request in requests:
-            mappings[request.name] = random_node_mapping(substrate, request, rng)
-        return mappings
-
-    for request in sorted(requests, key=lambda r: (-r.revenue(), r.name)):
-        mapping = greedy_node_mapping(substrate, request)
-        if mapping is None:
-            mapping = random_node_mapping(substrate, request, rng)
-        mappings[request.name] = mapping
-    return mappings
-
-
-def shortest_path_link_mapping(
-    substrate: SubstrateNetwork,
-    request: Request,
-    node_mapping: Mapping[Hashable, Hashable],
-) -> dict[tuple, list[tuple]] | None:
-    """Route every virtual link along a shortest substrate path.
-
-    Returns ``{virtual link: [substrate links on the path]}`` or
-    ``None`` when some pair of hosts is not connected.  Links between
-    co-located virtual nodes need no substrate resources (empty path).
-    """
-    graph = substrate.to_networkx()
-    routes: dict[tuple, list[tuple]] = {}
-    for lv in request.vnet.links:
-        tail, head = lv
-        try:
-            src, dst = node_mapping[tail], node_mapping[head]
-        except KeyError as missing:
-            raise ValidationError(
-                f"{request.name}: node mapping misses {missing}"
-            ) from None
-        if src == dst:
-            routes[lv] = []
-            continue
-        try:
-            path = nx.shortest_path(graph, src, dst)
-        except nx.NetworkXNoPath:
-            return None
-        routes[lv] = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    return routes
-
-
-def link_mapping_usage(
-    request: Request, routes: Mapping[tuple, list[tuple]]
-) -> dict[tuple, float]:
-    """Aggregate bandwidth each substrate link carries under a routing."""
-    usage: dict[tuple, float] = {}
-    for lv, path in routes.items():
-        demand = request.vnet.link_demand(lv)
-        for ls in path:
-            usage[ls] = usage.get(ls, 0.0) + demand
-    return usage

@@ -1,16 +1,10 @@
 """The classic *static* VNEP as a standalone MIP (Sec. II-A).
 
 This is the time-less special case of the TVNEP: all requests are
-active simultaneously and capacities must hold once.  It serves three
-purposes in the reproduction:
-
-1. a self-contained solver for the paper's subproblem (useful on its
-   own and in the examples),
-2. the correctness baseline for the temporal models — a TVNEP instance
-   in which all requests have identical, inflexible windows must yield
-   exactly the static optimum (tested), and
-3. the node-mapping provider for the greedy algorithm when no a-priori
-   mapping is given.
+active simultaneously and capacities must hold once.  It is the
+correctness baseline for the temporal models: a TVNEP instance in which
+all requests have identical, inflexible windows must yield exactly the
+static optimum (tested).
 """
 
 from __future__ import annotations
@@ -41,8 +35,7 @@ class StaticVNEPModel:
         Optional per-request fixed node mappings
         (``{request name: {virtual node: substrate node}}``).
     force_all:
-        Require every request to be embedded (``x_R = 1``); the natural
-        setting for load-balancing style objectives.
+        Require every request to be embedded (``x_R = 1``).
     """
 
     def __init__(
@@ -99,28 +92,6 @@ class StaticVNEPModel:
             ),
             ObjectiveSense.MAXIMIZE,
         )
-
-    def set_count_objective(self) -> None:
-        """Maximize the number of embedded requests."""
-        self.model.set_objective(
-            quicksum(emb.x_embed for emb in self.embeddings.values()),
-            ObjectiveSense.MAXIMIZE,
-        )
-
-    def set_min_max_link_load_objective(self) -> None:
-        """Embed everything while minimizing the maximum link utilization."""
-        load = self.model.continuous_var("max_link_load", lb=0.0)
-        for emb in self.embeddings.values():
-            self.model.fix_var(emb.x_embed, 1.0)
-        for ls in self.substrate.links:
-            cap = self.substrate.link_capacity(ls)
-            if cap <= 0:
-                continue
-            usage = quicksum(
-                emb.alloc_link(ls) for emb in self.embeddings.values()
-            )
-            self.model.add_constr(usage <= load * cap, name=f"load[{ls}]")
-        self.model.set_objective(load, ObjectiveSense.MINIMIZE)
 
     # ------------------------------------------------------------------
     def solve(self, backend: str = "highs", **kwargs) -> "StaticEmbeddingResult":

@@ -1,17 +1,10 @@
 """Synthetic workload generation (the paper's Sec. VI-A methodology)."""
 
-from repro.workloads.arrival import batch_arrivals, poisson_arrivals, uniform_arrivals
-from repro.workloads.duration import (
-    fixed_durations,
-    paper_durations,
-    weibull_durations,
-    weibull_mean,
-)
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.duration import paper_durations, weibull_durations, weibull_mean
 from repro.workloads.scenario import (
     PAPER_FLEXIBILITIES,
     Scenario,
-    bursty_scenario,
-    flexibility_sweep,
     paper_scenario,
     small_scenario,
     wan_scenario,
@@ -19,17 +12,12 @@ from repro.workloads.scenario import (
 
 __all__ = [
     "poisson_arrivals",
-    "uniform_arrivals",
-    "batch_arrivals",
     "weibull_durations",
     "paper_durations",
-    "fixed_durations",
     "weibull_mean",
     "Scenario",
     "paper_scenario",
     "small_scenario",
-    "bursty_scenario",
     "wan_scenario",
-    "flexibility_sweep",
     "PAPER_FLEXIBILITIES",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = ["poisson_arrivals", "uniform_arrivals", "batch_arrivals"]
+__all__ = ["poisson_arrivals"]
 
 
 def poisson_arrivals(
@@ -33,23 +33,3 @@ def poisson_arrivals(
     gaps = rng.exponential(mean_interarrival, size=count)
     return start + np.cumsum(gaps)
 
-
-def uniform_arrivals(
-    count: int,
-    horizon: float,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """``count`` sorted arrivals drawn uniformly over ``[0, horizon]``."""
-    if count < 1:
-        raise ValidationError("need at least one arrival")
-    if horizon <= 0:
-        raise ValidationError("horizon must be > 0")
-    rng = np.random.default_rng(rng)
-    return np.sort(rng.uniform(0.0, horizon, size=count))
-
-
-def batch_arrivals(count: int, batch_time: float = 0.0) -> np.ndarray:
-    """All requests arrive simultaneously (stress-test pattern)."""
-    if count < 1:
-        raise ValidationError("need at least one arrival")
-    return np.full(count, float(batch_time))

@@ -16,7 +16,6 @@ from repro.exceptions import ValidationError
 __all__ = [
     "weibull_durations",
     "paper_durations",
-    "fixed_durations",
     "weibull_mean",
 ]
 
@@ -53,9 +52,3 @@ def paper_durations(
     """The paper's Weibull(shape=2, scale=4) duration samples."""
     return weibull_durations(count, shape=2.0, scale=4.0, rng=rng)
 
-
-def fixed_durations(count: int, duration: float) -> np.ndarray:
-    """Identical durations (used by the symmetry-reduction scenario)."""
-    if duration <= 0:
-        raise ValidationError("duration must be > 0")
-    return np.full(count, float(duration))

@@ -43,10 +43,8 @@ __all__ = [
     "Scenario",
     "paper_scenario",
     "small_scenario",
-    "bursty_scenario",
     "wan_scenario",
     "PAPER_FLEXIBILITIES",
-    "flexibility_sweep",
 ]
 
 #: the paper's 11 flexibility levels, in hours (0 .. 300 minutes)
@@ -234,62 +232,6 @@ def small_scenario(
         seed=seed,
         label=f"small-s{seed}",
         metadata={"scale": "small"},
-    )
-
-
-def flexibility_sweep(
-    scenario: Scenario, flexibilities: tuple[float, ...] = PAPER_FLEXIBILITIES
-) -> list[Scenario]:
-    """The scenario at every flexibility level (the paper's x-axis)."""
-    return [scenario.with_flexibility(f) for f in flexibilities]
-
-
-def bursty_scenario(
-    seed: int,
-    num_requests: int = 6,
-    batch_time: float = 0.0,
-    leaves: int = 2,
-) -> Scenario:
-    """All requests arrive simultaneously — the adversarial burst.
-
-    Poisson arrivals naturally stagger demand; a burst removes that
-    relief, so *all* scheduling slack must come from the temporal
-    flexibility.  This is the workload where the flexibility benefit
-    (Figure 9's growth) is steepest and where the Delta-Model's
-    symmetries hurt the most (every pair of requests can be reordered).
-    """
-    rng = np.random.default_rng(seed)
-    substrate = grid_substrate(3, 3, node_capacity=3.5, link_capacity=5.0)
-    durations = weibull_durations(num_requests, shape=2.0, scale=2.0, rng=rng)
-    requests: list[Request] = []
-    mappings: dict[str, dict[Hashable, Hashable]] = {}
-    for i in range(num_requests):
-        name = f"B{i:02d}"
-        direction = "to_center" if rng.random() < 0.5 else "from_center"
-        node_demands = rng.uniform(1.0, 2.0, size=leaves + 1)
-        link_demands = rng.uniform(1.0, 2.0, size=leaves)
-        vnet = star(
-            name,
-            leaves=leaves,
-            node_demand=node_demands.tolist(),
-            link_demand=link_demands.tolist(),
-            direction=direction,
-        )
-        spec = TemporalSpec(
-            start=float(batch_time),
-            end=float(batch_time) + float(durations[i]),
-            duration=float(durations[i]),
-        )
-        request = Request(vnet, spec)
-        requests.append(request)
-        mappings[name] = random_node_mapping(substrate, request, rng)
-    return Scenario(
-        substrate=substrate,
-        requests=requests,
-        node_mappings=mappings,
-        seed=seed,
-        label=f"bursty-s{seed}",
-        metadata={"scale": "bursty"},
     )
 
 

@@ -1,9 +1,9 @@
-"""CPLEX-LP-format reader — the counterpart of :mod:`repro.mip.writer`.
+"""Round-trip oracle of the LP writer: a CPLEX-LP-format reader.
 
-Parses the LP dialect the writer emits (linear objective, two-sided
-constraints written one-sided, a Bounds section, Binary/General
-sections).  Together with the writer this gives lossless text
-round-trips for every model in the library, which the tests exploit:
+Parses the LP dialect :mod:`repro.mip.writer` emits (linear objective,
+two-sided constraints written one-sided, a Bounds section,
+Binary/General sections).  Nothing in the library reads LP text; the
+writer's tests use this reader to state losslessness:
 ``read_lp(write_lp(m))`` must solve to the same optimum as ``m``.
 
 Not a general LP parser: ranges, SOS sections, quadratic terms and

@@ -20,7 +20,6 @@ from repro.mip.bnb import (
     BranchAndBoundSolver,
     BranchNode,
     DepthFirstSelection,
-    FirstFractionalBranching,
     HybridSelection,
     MostFractionalBranching,
     PseudoCostBranching,
@@ -89,7 +88,7 @@ class TestSolverBasics:
         bnb = solve_bnb(m)
         assert bnb.objective == pytest.approx(highs.objective)
 
-    @pytest.mark.parametrize("branching", ["most_fractional", "first", "pseudocost"])
+    @pytest.mark.parametrize("branching", ["most_fractional", "pseudocost"])
     @pytest.mark.parametrize("selection", ["best_bound", "dfs", "hybrid"])
     def test_all_strategy_combinations(self, branching, selection):
         m = knapsack([2, 3, 4, 5, 7], [3, 4, 5, 6, 9], 9)
@@ -101,7 +100,6 @@ class TestSolverBasics:
 class TestFactories:
     def test_make_branching_rule(self):
         assert isinstance(make_branching_rule("most_fractional"), MostFractionalBranching)
-        assert isinstance(make_branching_rule("first"), FirstFractionalBranching)
         assert isinstance(make_branching_rule("pseudocost"), PseudoCostBranching)
         with pytest.raises(ValueError):
             make_branching_rule("nope")
@@ -123,12 +121,6 @@ class TestBranchingRules:
     def test_most_fractional_picks_half(self):
         rule = MostFractionalBranching()
         x = np.array([0.9, 0.5, 0.2])
-        integrality = np.ones(3, dtype=np.uint8)
-        assert rule.select(x, integrality) == 1
-
-    def test_first_fractional(self):
-        rule = FirstFractionalBranching()
-        x = np.array([1.0, 0.4, 0.5])
         integrality = np.ones(3, dtype=np.uint8)
         assert rule.select(x, integrality) == 1
 
@@ -204,12 +196,6 @@ class TestBranchNode:
         lb, ub = grand.materialize_bounds(np.zeros(2), np.full(2, 5.0))
         assert lb[0] == 2.0 and ub[0] == 2.0
         assert lb[1] == 0.0 and ub[1] == 5.0
-
-    def test_path_description(self):
-        root = BranchNode()
-        child = root.child(3, 0.0, 0.0, lp_bound=0.0)
-        assert "x3" in child.path_description()
-        assert root.path_description() == "<root>"
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,21 @@ def knapsack(weights, profits, capacity):
     return m, xs
 
 
+def first_run_status(m):
+    """HiGHS's model status after one run with presolve on."""
+    form = m.to_standard_form()
+    h = highs_backend._core._Highs()
+    h.setOptionValue("output_flag", False)
+    h.passModel(
+        highs_backend.highs_lp(
+            form.c, form.A, form.row_lb, form.row_ub, form.lb, form.ub,
+            form.integrality,
+        )
+    )
+    h.run()
+    return h.getModelStatus()
+
+
 class TestMilp:
     def test_knapsack_optimum(self):
         m, xs = knapsack([2, 3, 4, 5], [3, 4, 5, 6], 5)
@@ -66,7 +81,36 @@ class TestMilp:
         x = m.continuous_var("x", lb=0)
         m.set_objective(x, ObjectiveSense.MAXIMIZE)
         sol = solve_highs(m)
-        assert sol.status in (SolveStatus.UNBOUNDED, SolveStatus.ERROR)
+        assert sol.status is SolveStatus.UNBOUNDED
+
+    def test_unbounded_milp(self):
+        """Presolve cannot tell this MILP's unboundedness from
+        infeasibility; ``run_highs`` re-runs it without presolve."""
+        m = Model()
+        x = m.integer_var("x", lb=0)
+        y = m.binary_var("y")
+        m.add_constr(x - y >= 0)
+        m.set_objective(x + y, ObjectiveSense.MAXIMIZE)
+        ambiguous = highs_backend._core.HighsModelStatus.kUnboundedOrInfeasible
+        assert first_run_status(m) == ambiguous
+        assert solve_highs(m).status is SolveStatus.UNBOUNDED
+        assert solve_highs(m, presolve=False).status is SolveStatus.UNBOUNDED
+
+    def test_infeasible_milp_with_unbounded_objective_ray(self):
+        """``x + y`` cannot be both <= 1 and >= 2, while ``max z`` over
+        ``z >= x`` has no upper limit: presolve sees the open ray first
+        and cannot decide, the re-run without presolve proves infeasible."""
+        m = Model()
+        x = m.integer_var("x", lb=0)
+        y = m.integer_var("y", lb=0)
+        z = m.integer_var("z", lb=0)
+        m.add_constr(x + y <= 1)
+        m.add_constr(x + y >= 2)
+        m.add_constr(z - x >= 0)
+        m.set_objective(z, ObjectiveSense.MAXIMIZE)
+        ambiguous = highs_backend._core.HighsModelStatus.kUnboundedOrInfeasible
+        assert first_run_status(m) == ambiguous
+        assert solve_highs(m).status is SolveStatus.INFEASIBLE
 
     def test_objective_constant_carried(self):
         m = Model()

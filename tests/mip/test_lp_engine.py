@@ -210,26 +210,6 @@ class TestNodeCacheParity:
         assert cached.status == uncached.status
 
 
-class TestCutAndBranch:
-    def test_cut_rounds_reopen_the_session(self):
-        """max x1+x2+x3 s.t. 2x1+2x2+2x3 <= 5 over binaries.
-
-        The LP optimum (1, 1, 0.5) violates the cover cut
-        ``x1 + x2 + x3 <= 2``; the cut round reloads the strengthened
-        form into a fresh session and the search proves 2.0.
-        """
-        m = Model()
-        xs = [m.binary_var(f"x{i}") for i in range(3)]
-        m.add_constr(quicksum(2 * x for x in xs) <= 5)
-        m.set_objective(quicksum(xs), ObjectiveSense.MAXIMIZE)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            solver = BranchAndBoundSolver(cover_cuts=True)
-            result = solver.solve(m)
-        assert result.objective == pytest.approx(2.0)
-        assert registry.counter("solver.cuts_added") >= 1
-
-
 @pytest.fixture(scope="module")
 def csigma_gate_model():
     """The fixed cSigma instance of the engine gates (seed 0, 6 requests)."""

@@ -85,12 +85,6 @@ class TestConstraints:
         with pytest.raises(ModelingError):
             m.add_constr((x - x) >= 1)
 
-    def test_add_constrs_prefix(self):
-        m = Model()
-        x = m.continuous_var("x")
-        added = m.add_constrs([x <= i for i in range(3)], prefix="c")
-        assert [c.name for c in added] == ["c0", "c1", "c2"]
-
 
 class TestObjective:
     def test_set_objective(self):

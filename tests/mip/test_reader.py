@@ -1,4 +1,4 @@
-"""Tests of the LP reader, including writer round-trips."""
+"""Tests of the LP writer's round trips through the reference reader."""
 
 from __future__ import annotations
 
@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelingError
-from repro.mip import Model, ObjectiveSense, quicksum, solve_highs, write_lp
-from repro.mip.reader import read_lp
+from repro.mip import (
+    Model,
+    ObjectiveSense,
+    quicksum,
+    solve_highs,
+    write_lp,
+    write_lp_file,
+)
+
+from .reference_lp_reader import read_lp, read_lp_file
 
 
 class TestParsing:
@@ -177,6 +185,19 @@ class TestRoundTrip:
         a = solve_highs(model.model, time_limit=60)
         b = solve_highs(restored, time_limit=60)
         assert a.objective == pytest.approx(b.objective, abs=1e-5)
+
+
+class TestLpFileRoundTrip:
+    def test_read_lp_file(self, tmp_path):
+        m = Model("disk")
+        x = m.binary_var("x")
+        m.add_constr(x <= 1, name="c")
+        m.set_objective(x, ObjectiveSense.MAXIMIZE)
+        path = str(tmp_path / "m.lp")
+        write_lp_file(m, path)
+        restored = read_lp_file(path)
+        assert restored.num_vars == 1
+        assert restored.num_binary_vars == 1
 
 
 @st.composite

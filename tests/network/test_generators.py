@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -10,16 +9,15 @@ from repro.network.generators import (
     fat_tree_substrate,
     grid_substrate,
     line_substrate,
-    paper_substrate,
-    random_substrate,
     ring_substrate,
 )
+from repro.workloads import paper_scenario
 
 
 class TestGrid:
     def test_paper_dimensions(self):
         """Sec. VI-A: 4x5 grid, 20 nodes, 62 directed links."""
-        net = paper_substrate()
+        net = paper_scenario(0).substrate
         assert net.num_nodes == 20
         assert net.num_links == 62
         assert net.node_capacity("s(0,0)") == 3.5
@@ -62,33 +60,6 @@ class TestFatTree:
     def test_odd_k_rejected(self):
         with pytest.raises(ValidationError):
             fat_tree_substrate(3, 1.0, 0.0, 1.0)
-
-
-class TestRandom:
-    def test_reproducible(self):
-        a = random_substrate(8, 0.3, 1.0, 1.0, rng=7)
-        b = random_substrate(8, 0.3, 1.0, 1.0, rng=7)
-        assert a.links == b.links
-
-    def test_strongly_connected_even_sparse(self):
-        net = random_substrate(10, 0.0, 1.0, 1.0, rng=1)
-        assert net.is_strongly_connected()
-        assert net.num_links == 10  # just the backbone cycle
-
-    def test_probability_one_gives_complete(self):
-        net = random_substrate(5, 1.0, 1.0, 1.0, rng=1)
-        assert net.num_links == 5 * 4
-
-    def test_bad_params(self):
-        with pytest.raises(ValidationError):
-            random_substrate(1, 0.5, 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            random_substrate(5, 1.5, 1.0, 1.0)
-
-    def test_accepts_generator_instance(self):
-        rng = np.random.default_rng(3)
-        net = random_substrate(6, 0.2, 1.0, 1.0, rng=rng)
-        assert net.num_nodes == 6
 
 
 class TestLineAndRing:

@@ -63,11 +63,6 @@ class TestVirtualNetwork:
         with pytest.raises(ValidationError):
             v.link_demand(("b", "a"))
 
-    def test_from_specs(self):
-        v = VirtualNetwork.from_specs(
-            "R", {"x": 1.0, "y": 2.0}, [("x", "y", 3.0)]
-        )
-        assert v.link_demand(("x", "y")) == 3.0
 
 
 class TestTemporalSpec:

@@ -110,22 +110,6 @@ class TestQueries:
 
 
 class TestConversions:
-    def test_from_edges_scalar_caps(self):
-        net = SubstrateNetwork.from_edges(
-            [("x", "y"), ("y", "x")], node_capacity=1.0, link_capacity=2.0
-        )
-        assert net.num_nodes == 2
-        assert net.num_links == 2
-
-    def test_from_edges_mapping_caps(self):
-        net = SubstrateNetwork.from_edges(
-            [("x", "y")],
-            node_capacity={"x": 1.0, "y": 2.0},
-            link_capacity={("x", "y"): 3.0},
-        )
-        assert net.node_capacity("y") == 2.0
-        assert net.link_capacity(("x", "y")) == 3.0
-
     def test_to_networkx(self):
         g = triangle().to_networkx()
         assert g.number_of_nodes() == 3

@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.network.topologies import (
-    balanced_tree,
-    bipartite_shuffle,
-    chain,
-    full_mesh,
-    ring,
-    star,
-)
+from repro.network.topologies import bipartite_shuffle, chain, ring, star
 
 
 class TestStar:
@@ -78,42 +71,6 @@ class TestRing:
             ring("r", size=2, node_demand=1, link_demand=1)
 
 
-class TestFullMesh:
-    def test_structure(self):
-        v = full_mesh("m", size=3, node_demand=1.0, link_demand=0.5)
-        assert v.num_links == 6
-        assert all(v.link_demand(link) == 0.5 for link in v.links)
-
-    def test_min_size(self):
-        with pytest.raises(ValidationError):
-            full_mesh("m", size=1, node_demand=1, link_demand=1)
-
-
-class TestBalancedTree:
-    def test_down_tree(self):
-        v = balanced_tree("t", branching=2, depth=2, node_demand=1, link_demand=1)
-        assert v.num_nodes == 7
-        assert v.num_links == 6
-        assert ("r", "r.0") in v.links
-
-    def test_up_tree(self):
-        v = balanced_tree(
-            "t", branching=2, depth=1, node_demand=1, link_demand=1, direction="up"
-        )
-        assert ("r.0", "r") in v.links
-
-    def test_star_equivalence(self):
-        v = balanced_tree("t", branching=4, depth=1, node_demand=1, link_demand=1)
-        assert v.num_nodes == 5
-        assert v.num_links == 4
-
-    def test_bad_params(self):
-        with pytest.raises(ValidationError):
-            balanced_tree("t", branching=0, depth=1, node_demand=1, link_demand=1)
-        with pytest.raises(ValidationError):
-            balanced_tree("t", branching=1, depth=1, node_demand=1, link_demand=1, direction="left")
-
-
 class TestBipartiteShuffle:
     def test_structure(self):
         v = bipartite_shuffle("s", mappers=2, reducers=3, node_demand=1, link_demand=1)
@@ -125,36 +82,3 @@ class TestBipartiteShuffle:
         with pytest.raises(ValidationError):
             bipartite_shuffle("s", mappers=0, reducers=1, node_demand=1, link_demand=1)
 
-
-class TestVirtualCluster:
-    def test_hose_structure(self):
-        from repro.network.topologies import virtual_cluster
-
-        v = virtual_cluster("c", vms=3, vm_demand=1.0, bandwidth=0.5)
-        assert v.num_nodes == 4
-        assert v.num_links == 6  # bidirectional VM<->switch
-        assert v.node_demand("switch") == 0.0
-        assert v.node_demand("vm0") == 1.0
-        assert v.link_demand(("vm1", "switch")) == 0.5
-        assert v.link_demand(("switch", "vm1")) == 0.5
-
-    def test_embeddable_end_to_end(self):
-        """A hose cluster embeds and schedules like any other request."""
-        from repro.network import Request, TemporalSpec, line_substrate
-        from repro.network.topologies import virtual_cluster
-        from repro.tvnep import CSigmaModel, verify_solution
-
-        sub = line_substrate(3, node_capacity=1.0, link_capacity=2.0)
-        request = Request(
-            virtual_cluster("c", vms=2, vm_demand=1.0, bandwidth=0.5),
-            TemporalSpec(0, 4, 2),
-        )
-        solution = CSigmaModel(sub, [request]).solve()
-        assert solution.num_embedded == 1
-        assert verify_solution(solution).feasible
-
-    def test_needs_a_vm(self):
-        from repro.network.topologies import virtual_cluster
-
-        with pytest.raises(ValidationError):
-            virtual_cluster("c", vms=0, vm_demand=1.0, bandwidth=1.0)

@@ -151,7 +151,6 @@ class TestDerivedViews:
             "lp_cold_starts",
             "basis_reuse_ratio",
             "rc_fixed_cols",
-            "cuts_added",
             "cache_hits",
             "cache_misses",
             "warm_start_used",

@@ -73,7 +73,8 @@ class TestSerialization:
         trace.emit("budget", state="exhausted", where="pre_solve")
         path = str(tmp_path / "trace.jsonl")
         assert trace.write(path) == 1
-        assert SolveTrace.read_events(path) == trace.events
+        with open(path, encoding="utf-8") as fh:
+            assert [json.loads(line) for line in fh] == trace.events
 
     def test_canonical_form_is_sorted_and_minimal(self):
         trace = SolveTrace()
@@ -91,7 +92,8 @@ class TestSerialization:
         second.emit("budget", state="b")
         first.write(path)
         second.write(path, append=True)
-        assert [e["state"] for e in SolveTrace.read_events(path)] == ["a", "b"]
+        with open(path, encoding="utf-8") as fh:
+            assert [json.loads(line)["state"] for line in fh] == ["a", "b"]
 
 
 class TestTraceStack:

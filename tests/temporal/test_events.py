@@ -39,22 +39,6 @@ class TestEventSpaceCompact:
         es = EventSpace(num_requests=3, compact=True)
         assert list(es.end_events) == [2, 3, 4]
 
-    def test_states_spanned(self):
-        es = EventSpace(num_requests=3, compact=True)
-        assert list(es.states_spanned(1, 3)) == [1, 2]
-        assert list(es.states_spanned(2, 2)) == []
-
-    def test_validation(self):
-        es = EventSpace(num_requests=2, compact=True)
-        with pytest.raises(ValidationError):
-            es.check_event(0)
-        with pytest.raises(ValidationError):
-            es.check_event(4)
-        with pytest.raises(ValidationError):
-            es.check_state(3)
-        es.check_event(3)
-        es.check_state(2)
-
     def test_needs_requests(self):
         with pytest.raises(ValidationError):
             EventSpace(num_requests=0, compact=True)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.temporal import Interval, critical_points, merge_intervals, total_length
+from repro.temporal import Interval
 
 
 class TestInterval:
@@ -70,30 +70,6 @@ class TestInterval:
         assert str(Interval(0, 1.5)) == "[0, 1.5]"
 
 
-class TestMerge:
-    def test_merge_overlapping(self):
-        merged = merge_intervals([Interval(0, 2), Interval(1, 3), Interval(5, 6)])
-        assert merged == [Interval(0, 3), Interval(5, 6)]
-
-    def test_merge_touching(self):
-        merged = merge_intervals([Interval(0, 1), Interval(1, 2)])
-        assert merged == [Interval(0, 2)]
-
-    def test_merge_nested(self):
-        merged = merge_intervals([Interval(0, 10), Interval(2, 3)])
-        assert merged == [Interval(0, 10)]
-
-    def test_merge_empty(self):
-        assert merge_intervals([]) == []
-
-    def test_total_length(self):
-        assert total_length([Interval(0, 2), Interval(1, 3)]) == pytest.approx(3.0)
-
-    def test_critical_points(self):
-        points = critical_points([Interval(0, 2), Interval(1, 3)])
-        assert points == [0, 1, 2, 3]
-
-
 # ---------------------------------------------------------------------------
 bounds = st.floats(-1000, 1000, allow_nan=False)
 
@@ -102,26 +78,6 @@ bounds = st.floats(-1000, 1000, allow_nan=False)
 def intervals(draw):
     a, b = sorted((draw(bounds), draw(bounds)))
     return Interval(a, b)
-
-
-@given(st.lists(intervals(), max_size=12))
-def test_merge_produces_disjoint_sorted(items):
-    merged = merge_intervals(items)
-    for left, right in zip(merged, merged[1:]):
-        assert left.hi < right.lo
-
-
-@given(st.lists(intervals(), max_size=12))
-def test_merge_preserves_coverage(items):
-    merged = merge_intervals(items)
-    for iv in items:
-        for t in (iv.lo, iv.midpoint, iv.hi):
-            assert any(m.contains(t, tol=1e-9) for m in merged)
-
-
-@given(st.lists(intervals(), max_size=12))
-def test_total_length_at_most_sum(items):
-    assert total_length(items) <= sum(iv.length for iv in items) + 1e-9
 
 
 @given(intervals(), intervals())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mip import Model, ObjectiveSense, read_lp_file, write_lp_file
+from repro.mip import Model, ObjectiveSense
 
 
 class TestCliParser:
@@ -18,19 +18,6 @@ class TestCliParser:
         assert args.model == "delta"
         with pytest.raises(SystemExit):
             parser.parse_args(["unknown-command"])
-
-
-class TestLpFileRoundTrip:
-    def test_read_lp_file(self, tmp_path):
-        m = Model("disk")
-        x = m.binary_var("x")
-        m.add_constr(x <= 1, name="c")
-        m.set_objective(x, ObjectiveSense.MAXIMIZE)
-        path = str(tmp_path / "m.lp")
-        write_lp_file(m, path)
-        restored = read_lp_file(path)
-        assert restored.num_vars == 1
-        assert restored.num_binary_vars == 1
 
 
 class TestEvaluationChartFigures:

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.exceptions import ValidationError
 from repro.network import Request, SubstrateNetwork, TemporalSpec, line_substrate
-from repro.network.topologies import chain, star
-from repro.vnep import (
-    greedy_node_mapping,
-    link_mapping_usage,
-    random_node_mapping,
-    shortest_path_link_mapping,
-)
+from repro.network.topologies import star
+from repro.vnep import greedy_node_mapping, random_node_mapping
 
 
 def star_request(name="R", leaves=2, node_demand=1.0):
@@ -83,119 +74,3 @@ class TestGreedyMapping:
         mapping = greedy_node_mapping(sub, request)
         assert mapping == {"center": "big", "leaf0": "small"}
 
-
-class TestShortestPathMapping:
-    def test_routes_along_path(self):
-        sub = line_substrate(3, 2.0, 2.0)
-        request = Request(
-            chain("c", length=2, node_demand=1.0, link_demand=1.0),
-            TemporalSpec(0, 5, 1),
-        )
-        routes = shortest_path_link_mapping(
-            sub, request, {"n0": "s0", "n1": "s2"}
-        )
-        assert routes == {("n0", "n1"): [("s0", "s1"), ("s1", "s2")]}
-
-    def test_colocated_empty_path(self):
-        sub = line_substrate(2, 2.0, 2.0)
-        request = Request(
-            chain("c", length=2, node_demand=1.0, link_demand=1.0),
-            TemporalSpec(0, 5, 1),
-        )
-        routes = shortest_path_link_mapping(
-            sub, request, {"n0": "s0", "n1": "s0"}
-        )
-        assert routes == {("n0", "n1"): []}
-
-    def test_disconnected_returns_none(self):
-        sub = SubstrateNetwork()
-        sub.add_node("u", 1.0)
-        sub.add_node("v", 1.0)
-        sub.add_node("w", 1.0)
-        sub.add_link("u", "v", 1.0)  # w unreachable
-        request = Request(
-            chain("c", length=2, node_demand=1.0, link_demand=1.0),
-            TemporalSpec(0, 5, 1),
-        )
-        routes = shortest_path_link_mapping(
-            sub, request, {"n0": "u", "n1": "w"}
-        )
-        assert routes is None
-
-    def test_missing_mapping_raises(self):
-        sub = line_substrate(2, 2.0, 2.0)
-        request = Request(
-            chain("c", length=2, node_demand=1.0, link_demand=1.0),
-            TemporalSpec(0, 5, 1),
-        )
-        with pytest.raises(ValidationError):
-            shortest_path_link_mapping(sub, request, {"n0": "s0"})
-
-
-class TestUsageAggregation:
-    def test_usage_sums_demands(self):
-        request = Request(
-            star("R", leaves=2, node_demand=1.0, link_demand=[2.0, 3.0]),
-            TemporalSpec(0, 5, 1),
-        )
-        lv0, lv1 = request.vnet.links
-        routes = {lv0: [("a", "b")], lv1: [("a", "b"), ("b", "c")]}
-        usage = link_mapping_usage(request, routes)
-        assert usage[("a", "b")] == pytest.approx(5.0)
-        assert usage[("b", "c")] == pytest.approx(3.0)
-
-    def test_empty_routes(self):
-        request = star_request()
-        assert link_mapping_usage(request, {lv: [] for lv in request.vnet.links}) == {}
-
-
-class TestDeriveMappings:
-    def test_greedy_method_respects_capacity_per_request(self):
-        from repro.vnep import derive_mappings
-        from repro.workloads import small_scenario
-
-        scenario = small_scenario(0, num_requests=5)
-        mappings = derive_mappings(
-            scenario.substrate, scenario.requests, method="greedy"
-        )
-        assert set(mappings) == {r.name for r in scenario.requests}
-        for request in scenario.requests:
-            load = {}
-            for v, host in mappings[request.name].items():
-                load[host] = load.get(host, 0.0) + request.vnet.node_demand(v)
-            for host, amount in load.items():
-                assert amount <= scenario.substrate.node_capacity(host) + 1e-9
-
-    def test_random_method_reproducible(self):
-        from repro.vnep import derive_mappings
-        from repro.workloads import small_scenario
-
-        scenario = small_scenario(1, num_requests=3)
-        a = derive_mappings(scenario.substrate, scenario.requests, "random", rng=5)
-        b = derive_mappings(scenario.substrate, scenario.requests, "random", rng=5)
-        assert a == b
-
-    def test_unknown_method_rejected(self):
-        from repro.vnep import derive_mappings
-
-        sub = line_substrate(2, 2.0, 2.0)
-        with pytest.raises(ValidationError):
-            derive_mappings(sub, [star_request()], method="psychic")
-
-    def test_greedy_mappings_feed_the_greedy_algorithm(self):
-        from repro.tvnep import greedy_csigma, verify_solution
-        from repro.vnep import derive_mappings
-        from repro.workloads import small_scenario
-
-        scenario = small_scenario(2, num_requests=4).with_flexibility(1.0)
-        mappings = derive_mappings(scenario.substrate, scenario.requests)
-        result = greedy_csigma(scenario.substrate, scenario.requests, mappings)
-        assert verify_solution(result.solution).feasible
-        # capacity-aware mappings make every request individually
-        # placeable, so nothing is rejected for self-overload
-        from repro.network.validation import lint_instance
-
-        report = lint_instance(
-            scenario.substrate, scenario.requests, mappings
-        )
-        assert not any("always be rejected" in w for w in report.warnings)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.workloads import batch_arrivals, poisson_arrivals, uniform_arrivals
+from repro.workloads import poisson_arrivals
 
 
 class TestPoisson:
@@ -35,26 +35,3 @@ class TestPoisson:
         with pytest.raises(ValidationError):
             poisson_arrivals(5, 0.0)
 
-
-class TestUniform:
-    def test_sorted_within_horizon(self):
-        arrivals = uniform_arrivals(100, 10.0, rng=0)
-        assert np.all(np.diff(arrivals) >= 0)
-        assert arrivals.min() >= 0
-        assert arrivals.max() <= 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            uniform_arrivals(0, 10.0)
-        with pytest.raises(ValidationError):
-            uniform_arrivals(5, 0.0)
-
-
-class TestBatch:
-    def test_all_simultaneous(self):
-        arrivals = batch_arrivals(5, batch_time=3.0)
-        assert np.all(arrivals == 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            batch_arrivals(0)

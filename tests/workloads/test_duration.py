@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.workloads import (
-    fixed_durations,
-    paper_durations,
-    weibull_durations,
-    weibull_mean,
-)
+from repro.workloads import paper_durations, weibull_durations, weibull_mean
 
 
 class TestWeibull:
@@ -50,12 +45,3 @@ class TestWeibull:
         with pytest.raises(ValidationError):
             weibull_durations(5, 2.0, 0.0)
 
-
-class TestFixed:
-    def test_identical(self):
-        durations = fixed_durations(4, 2.5)
-        assert np.all(durations == 2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            fixed_durations(3, 0.0)

@@ -8,7 +8,6 @@ from repro.exceptions import ValidationError
 from repro.workloads import (
     PAPER_FLEXIBILITIES,
     Scenario,
-    flexibility_sweep,
     paper_scenario,
     small_scenario,
 )
@@ -71,7 +70,8 @@ class TestFlexibility:
         assert len(PAPER_FLEXIBILITIES) == 11
         assert PAPER_FLEXIBILITIES[0] == 0.0
         assert PAPER_FLEXIBILITIES[-1] == pytest.approx(5.0)  # 300 minutes
-        sweep = flexibility_sweep(small_scenario(0))
+        base = small_scenario(0)
+        sweep = [base.with_flexibility(f) for f in PAPER_FLEXIBILITIES]
         assert len(sweep) == 11
         assert sweep[3].metadata["flexibility"] == pytest.approx(1.5)
 
@@ -131,29 +131,6 @@ class TestValidation:
                 requests=[sc.requests[0], sc.requests[0]],
                 node_mappings=sc.node_mappings,
             )
-
-
-class TestBurstyScenario:
-    def test_all_arrive_together(self):
-        from repro.workloads import bursty_scenario
-
-        sc = bursty_scenario(0, num_requests=4, batch_time=1.5)
-        assert all(r.earliest_start == 1.5 for r in sc.requests)
-        assert all(r.flexibility == pytest.approx(0.0, abs=1e-9) for r in sc.requests)
-
-    def test_flexibility_is_the_only_slack(self):
-        from repro.workloads import bursty_scenario
-        from repro.tvnep import CSigmaModel
-
-        base = bursty_scenario(1, num_requests=4)
-        tight = CSigmaModel(
-            base.substrate, base.requests, fixed_mappings=base.node_mappings
-        ).solve(time_limit=60)
-        flexible = base.with_flexibility(3.0)
-        loose = CSigmaModel(
-            flexible.substrate, flexible.requests, fixed_mappings=flexible.node_mappings
-        ).solve(time_limit=60)
-        assert loose.objective >= tight.objective - 1e-6
 
 
 class TestWanScenario:
